@@ -119,3 +119,7 @@ class SingularSystemError(ComputationError):
 
 class CycleOverflowError(ComputationError):
     """Walk exceeded the finite-cycle safety cap."""
+
+
+class InvariantError(ComputationError):
+    """Unique exchange or insertion, or a Little walk invariant, failed."""

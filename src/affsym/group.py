@@ -19,7 +19,6 @@ AffinePermutation(n=4, window=(2, 5, 0, 3))
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -414,10 +413,3 @@ def parse_window(n: int, text: str) -> AffinePermutation:
         raise FormatError(f"bad window entry in {text!r}") from exc
     return from_window(n, values)
 
-
-def all_proper_subsets(n: int) -> list[tuple[int, ...]]:
-    """All proper subsets of Z/nZ as sorted tuples, smallest first."""
-    out = []
-    for k in range(n):
-        out.extend(itertools.combinations(range(n), k))
-    return out

@@ -2,8 +2,9 @@
 
 A v-marked word is a word with one distinguished letter whose deletion
 is a reduced word for v.  The affine Little graph puts one out-edge on
-each v-marked word: decrement the marked letter mod n, and re-mark at
-the unique other deletable position when the result is not reduced.
+each v-marked word: decrement the marked letter mod n and, when the
+result is not reduced, re-mark at the other position of its reflection
+sequence with the mark's reflection (the unique other deletable one).
 Iterating until the word is reduced again defines phi, a bijection of
 the reduced v-marked words; restricted to reduced words of right
 r-covers of v it lands in the reduced words of left r-covers.
@@ -26,13 +27,14 @@ from .errors import (
     CycleOverflowError,
     FormatError,
     InvalidDecompositionError,
+    InvariantError,
     MarkAbsentError,
     NotLeftRCoverError,
     NotReducedError,
     NotRightRCoverError,
     NotVMarkedError,
 )
-from .group import AffinePermutation, Reflection, as_reflection
+from .group import AffinePermutation, Reflection, as_reflection, identity
 from .words import (
     CyclicSubset,
     Word,
@@ -40,11 +42,13 @@ from .words import (
     cd_element,
     count_reduced_words,
     evaluate,
-    insertion_index,
     is_reduced,
     marked_index,
     parse_word,
+    partner_index,
     reduced_words,
+    reflection_sequence,
+    sequence_is_reduced,
 )
 
 
@@ -104,7 +108,8 @@ class PQPair:
     def __post_init__(self):
         if (self.p - self.q) % self.n == 0:
             raise FormatError(f"degenerate pair ({self.p},{self.q}) mod {self.n}")
-        shift = (((min(self.p, self.q) - 1) % self.n) + 1) - min(self.p, self.q)
+        # the shift that makes t_{p,q} canonical also fixes the pair
+        shift = Reflection(self.n, self.p, self.q).a - min(self.p, self.q)
         object.__setattr__(self, "p", self.p + shift)
         object.__setattr__(self, "q", self.q + shift)
 
@@ -113,20 +118,31 @@ class PQPair:
 
 
 def pq(v: AffinePermutation, m: MarkedWord) -> PQPair:
-    """p = y^-1(t), q = y^-1(t+1) for t the marked letter, y the suffix.
+    """The mark's pair in reflection_sequence: p = y^-1(t), q = y^-1(t+1)
+    for t the marked letter, y the letters after it.
 
-    Here y evaluates the letters after the mark, so the full word
-    evaluates to v * t_{p,q}; p < q exactly when the word is reduced.
+    The full word evaluates to v * t_{p,q}; p < q exactly when it is reduced.
     """
     _require_v_marked(v, m)
-    suffix = Word(m.word.n, m.word.letters[m.mark :])
-    y_inv = evaluate(suffix).inverse()
-    t = m.marked_letter
-    return PQPair(m.word.n, y_inv(t), y_inv(t + 1))
+    p, q = reflection_sequence(m.word)[m.mark - 1]
+    return PQPair(m.word.n, p, q)
 
 
 # ---------------------------------------------------------------------------
 # The affine Little graph
+
+
+def _forward(m: MarkedWord, _sequence) -> tuple[MarkedWord, tuple]:
+    word = m.word.replace(m.mark, (m.marked_letter - 1) % m.word.n)
+    sequence = reflection_sequence(word)
+    mark = m.mark if sequence_is_reduced(sequence) else partner_index(word, sequence, m.mark)
+    return MarkedWord(word, mark), sequence
+
+
+def _backward(m: MarkedWord, sequence) -> tuple[MarkedWord, tuple]:
+    k = m.mark if sequence_is_reduced(sequence) else partner_index(m.word, sequence, m.mark)
+    word = m.word.replace(k, (m.word[k - 1] + 1) % m.word.n)
+    return MarkedWord(word, k), reflection_sequence(word)
 
 
 def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
@@ -136,26 +152,35 @@ def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     to the unique other position whose deletion is a reduced word for v.
     """
     _require_v_marked(v, m)
-    n = m.word.n
-    new_word = m.word.replace(m.mark, (m.marked_letter - 1) % n)
-    if is_reduced(new_word):
-        return MarkedWord(new_word, m.mark)
-    return MarkedWord(new_word, insertion_index(new_word, m.mark))
+    return _forward(m, None)[0]
 
 
 def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     """The unique in-edge: re-mark first, then increment that letter mod n."""
     _require_v_marked(v, m)
-    n = m.word.n
-    k = m.mark if is_reduced(m.word) else insertion_index(m.word, m.mark)
-    new_word = m.word.replace(k, (m.word[k - 1] + 1) % n)
-    return MarkedWord(new_word, k)
+    return _backward(m, reflection_sequence(m.word))[0]
 
 
-def _phi_cap(v: AffinePermutation, length: int) -> int:
+def _walk(v: AffinePermutation, m: MarkedWord, step, name: str):
+    """Step from the reduced v-marked m to the next reduced word.
+
+    A step maps a vertex and its word's reflection sequence to the next
+    ones.  A re-mark has the mark's reflection, so only m needs checking.
+    """
+    _require_v_marked(v, m)
+    sequence = reflection_sequence(m.word)
+    if not sequence_is_reduced(sequence):
+        raise NotReducedError(f"{m} is not a reduced marked word")
+    path = []
+    current = m
     # every v-marked word of this length inserts one of n letters at one
-    # of `length` positions into some reduced word of v
-    return v.n * length * count_reduced_words(v) + 1
+    # of len(m.word) positions into some reduced word of v
+    for _ in range(v.n * len(m.word) * count_reduced_words(v) + 1):
+        current, sequence = step(current, sequence)
+        path.append(current)
+        if sequence_is_reduced(sequence):
+            return current, path
+    raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
 
 
 def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
@@ -166,48 +191,19 @@ def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWor
     the graph are finite and never loops, which the iteration cap turns
     into a runtime check.
     """
-    _require_v_marked(v, m)
-    if not is_reduced(m.word):
-        raise NotReducedError(f"{m} is not a reduced marked word")
-    path = []
-    current = m
-    for _ in range(_phi_cap(v, len(m.word))):
-        current = forward_step(v, current)
-        path.append(current)
-        if is_reduced(current.word):
-            return current, path
-    raise CycleOverflowError(f"phi cycle through {m} exceeded its cap")
+    return _walk(v, m, _forward, "phi")
 
 
 def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
     """Inverse of phi, by iterating backward steps; same path convention."""
-    _require_v_marked(v, m)
-    if not is_reduced(m.word):
-        raise NotReducedError(f"{m} is not a reduced marked word")
-    path = []
-    current = m
-    for _ in range(_phi_cap(v, len(m.word))):
-        current = backward_step(v, current)
-        path.append(current)
-        if is_reduced(current.word):
-            return current, path
-    raise CycleOverflowError(f"phi inverse cycle through {m} exceeded its cap")
+    return _walk(v, m, _backward, "phi inverse")
 
 
 def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> None:
-    t = None
-    if w.length() == v.length() + 1:
-        t = as_reflection(v.inverse() * w)
-    if side == "right":
-        if t is None or (t.a - r) % v.n != 0:
-            raise NotRightRCoverError(
-                f"{list(w.window)} is not a right {r}-cover of {list(v.window)}"
-            )
-    else:
-        if t is None or (t.b - r) % v.n != 0:
-            raise NotLeftRCoverError(
-                f"{list(w.window)} is not a left {r}-cover of {list(v.window)}"
-            )
+    t = as_reflection(v.inverse() * w) if w.length() == v.length() + 1 else None
+    if t is None or ((t.a if side == "right" else t.b) - r) % v.n != 0:
+        error = NotRightRCoverError if side == "right" else NotLeftRCoverError
+        raise error(f"{list(w.window)} is not a {side} {r}-cover of {list(v.window)}")
 
 
 def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Word]:
@@ -257,6 +253,19 @@ class MarkedSubset:
             raise MarkAbsentError(f"mark {self.mark} not in subset {self.subset}")
 
 
+def _slide(ms: MarkedSubset, direction: int) -> MarkedSubset:
+    n, members = ms.subset.n, set(ms.subset.members)
+    i = ms.mark % n
+    run = 1
+    while run < n and (i + direction * run) % n in members:
+        run += 1
+    new_mark = (i + direction * run) % n
+    if new_mark in members:
+        raise InvariantError("run maximality violated")
+    new_members = (members - {i}) | {new_mark}
+    return MarkedSubset(CyclicSubset(n, tuple(new_members)), new_mark)
+
+
 def cd_cover_step(ms: MarkedSubset) -> MarkedSubset:
     """Slide the marked run down: replace mark i by i-j-1 for maximal j
     with {i, i-1, ..., i-j} inside the subset.
@@ -264,29 +273,13 @@ def cd_cover_step(ms: MarkedSubset) -> MarkedSubset:
     This is the factor-level forward step; it is independent of any
     reduced-word choice.
     """
-    n, members = ms.subset.n, set(ms.subset.members)
-    i = ms.mark % n
-    j = 0
-    while (i - j - 1) % n in members:
-        j += 1
-    new_mark = (i - j - 1) % n
-    assert new_mark not in members, "run maximality violated"
-    new_members = (members - {i}) | {new_mark}
-    return MarkedSubset(CyclicSubset(n, tuple(new_members)), new_mark)
+    return _slide(ms, -1)
 
 
 def cd_cover_step_back(ms: MarkedSubset) -> MarkedSubset:
     """Inverse slide: replace mark i by i+k+1 for maximal k with
     {i, i+1, ..., i+k} inside the subset."""
-    n, members = ms.subset.n, set(ms.subset.members)
-    i = ms.mark % n
-    k = 0
-    while (i + k + 1) % n in members:
-        k += 1
-    new_mark = (i + k + 1) % n
-    assert new_mark not in members, "run maximality violated"
-    new_members = (members - {i}) | {new_mark}
-    return MarkedSubset(CyclicSubset(n, tuple(new_members)), new_mark)
+    return _slide(ms, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +307,13 @@ class AlphaDecomposition:
         return tuple(len(f) for f in self.factors)
 
     def product(self) -> AffinePermutation:
-        return _product(self.n, self.factors)
+        w = identity(self.n)
+        for factor in self.factors:
+            w = w * cd_element(factor)
+        return w
 
     def __str__(self) -> str:
         return "/".join(str(f) for f in self.factors)
-
-
-def _product(n: int, factors) -> AffinePermutation:
-    w = evaluate(Word(n, ()))
-    for factor in factors:
-        w = w * cd_element(factor)
-    return w
 
 
 def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
@@ -335,52 +324,39 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
     return AlphaDecomposition(n, tuple(factors))
 
 
-def _concat_word(n: int, factors) -> Word:
-    letters = []
-    for factor in factors:
-        letters.extend(canonical_cd_word(factor).letters)
-    return Word(n, tuple(letters))
-
-
-def _locate(n: int, factors, position: int) -> tuple[int, int]:
-    """Map a 1-based concatenation position to (factor index, letter)."""
-    offset = 0
-    for f, factor in enumerate(factors):
-        if position <= offset + len(factor):
-            return f, canonical_cd_word(factor)[position - offset - 1]
-        offset += len(factor)
-    raise AssertionError("position outside concatenation")
-
-
-def _mark_position(n: int, factors, f: int, letter: int) -> int:
-    offset = sum(len(factor) for factor in factors[:f])
-    return offset + canonical_cd_word(factors[f]).letters.index(letter) + 1
-
-
-def _decomposition_mark(v: AffinePermutation, factors) -> tuple[int, int]:
-    """Factor index and letter whose deletion leaves a decomposition of v."""
-    word = _concat_word(v.n, factors)
-    return _locate(v.n, factors, marked_index(word, v))
-
-
-def _walk_cap(n: int, factors) -> int:
-    states = math.prod(math.comb(n, len(f)) for f in factors)
-    return states * max(1, sum(len(f) for f in factors)) * n + 1
+def _concat_word(n: int, factors) -> tuple[Word, list[tuple[int, int]]]:
+    """The concatenated canonical factor words, and the (factor index,
+    letter) at each of its positions."""
+    spots = [(f, a) for f, factor in enumerate(factors) for a in canonical_cd_word(factor).letters]
+    return Word(n, tuple(a for _, a in spots)), spots
 
 
 def _generalized_walk(v, factors, step) -> tuple[CyclicSubset, ...]:
     factors = list(factors)
-    f, letter = _decomposition_mark(v, factors)
-    for _ in range(_walk_cap(v.n, factors)):
+    word, spots = _concat_word(v.n, factors)
+    f, letter = spots[marked_index(word, v) - 1]
+    states = math.prod(math.comb(v.n, len(factor)) for factor in factors)
+    for _ in range(states * max(1, len(word)) * v.n + 1):
         moved = step(MarkedSubset(factors[f], letter))
         factors[f] = moved.subset
-        if is_reduced(_concat_word(v.n, factors)):
+        word, spots = _concat_word(v.n, factors)
+        sequence = reflection_sequence(word)
+        if sequence_is_reduced(sequence):
             return tuple(factors)
-        position = _mark_position(v.n, factors, f, moved.mark)
-        g, letter = _locate(v.n, factors, insertion_index(_concat_word(v.n, factors), position))
-        assert g != f, "re-mark landed in the moved factor"
+        position = spots.index((f, moved.mark)) + 1
+        g, letter = spots[partner_index(word, sequence, position) - 1]
+        if g == f:
+            raise InvariantError("re-mark landed in the moved factor")
         f = g
     raise CycleOverflowError("generalized walk exceeded its cap")
+
+
+def _factor_little(v, r, d: AlphaDecomposition, side: str, step) -> AlphaDecomposition:
+    _require_r_cover(v, r, d.product(), side)
+    out = AlphaDecomposition(d.n, _generalized_walk(v, d.factors, step))
+    if out.alpha != d.alpha:
+        raise InvariantError(f"length profile changed from {d} to {out}")
+    return out
 
 
 def generalized_little(
@@ -388,17 +364,11 @@ def generalized_little(
 ) -> AlphaDecomposition:
     """Factor-level Little step: maps a factor tuple of a right r-cover of
     v to one of a left r-cover, preserving the length profile alpha."""
-    _require_r_cover(v, r, d.product(), "right")
-    out = AlphaDecomposition(d.n, _generalized_walk(v, d.factors, cd_cover_step))
-    assert out.alpha == d.alpha
-    return out
+    return _factor_little(v, r, d, "right", cd_cover_step)
 
 
 def inverse_generalized_little(
     v: AffinePermutation, r: int, d: AlphaDecomposition
 ) -> AlphaDecomposition:
     """Inverse factor-level step, from left r-covers back to right r-covers."""
-    _require_r_cover(v, r, d.product(), "left")
-    out = AlphaDecomposition(d.n, _generalized_walk(v, d.factors, cd_cover_step_back))
-    assert out.alpha == d.alpha
-    return out
+    return _factor_little(v, r, d, "left", cd_cover_step_back)

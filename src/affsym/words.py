@@ -3,7 +3,8 @@
 A word evaluates to the product of its simple reflections read left to
 right.  A word is reduced when its length equals the length of its
 evaluation; reducedness is tested incrementally, one ascent check per
-letter.
+letter.  Strong exchange and unique insertion are lookups in a word's
+reflection sequence.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
@@ -13,6 +14,7 @@ the maximal cyclic intervals of A, and all evaluate to one element w(A).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,12 +22,13 @@ from .errors import (
     BadLetterError,
     FormatError,
     FullSetError,
+    InvariantError,
     MarkDeletionNotReducedError,
     NotACoverError,
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, as_reflection, canonical_reduced_word, identity
+from .group import AffinePermutation, Reflection, as_reflection, canonical_reduced_word, identity
 
 
 @dataclass(frozen=True)
@@ -127,39 +130,71 @@ def count_reduced_words(w: AffinePermutation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Strong exchange and unique insertion
+# Reflection sequences: strong exchange and unique insertion
+
+
+def reflection_sequence(a: Word) -> tuple[tuple[int, int], ...]:
+    """Per position j, (p_j, q_j) = (y^-1(a_j), y^-1(a_j + 1)), y the letters after j.
+
+    Deleting letter j gives evaluate(a) * t(p_j, q_j).  The word is
+    reduced iff p_j < q_j for every j, and then its reflections differ.
+
+    >>> reflection_sequence(parse_word(3, "121"))
+    ((2, 3), (1, 3), (1, 2))
+    """
+    y_inv = identity(a.n)
+    out = []
+    for letter in reversed(a.letters):
+        out.append((y_inv(letter), y_inv(letter + 1)))
+        y_inv = y_inv.times_simple(letter)
+    return tuple(reversed(out))
+
+
+def sequence_is_reduced(sequence) -> bool:
+    return all(p < q for p, q in sequence)
+
+
+def partner_index(a: Word, sequence, i: int) -> int:
+    """The unique j != i with i's reflection in a's sequence; deleting
+    either letter gives the same element (unique insertion)."""
+    t = Reflection(a.n, *sequence[i - 1])
+    hits = [j for j, pair in enumerate(sequence, 1) if j != i and Reflection(a.n, *pair) == t]
+    if len(hits) != 1:
+        raise InvariantError(f"insertion uniqueness failed for {a} at {i}")
+    return hits[0]
 
 
 def marked_index(a: Word, v: AffinePermutation) -> int:
     """The unique 1-based i with a_1 .. ^a_i .. a_l a reduced word for v.
 
-    Requires a reduced and evaluate(a) a Bruhat cover of v; uniqueness is
-    the strong exchange condition.
+    Requires a reduced and evaluate(a) = v * t a Bruhat cover of v; i is
+    the only position with reflection t in reflection_sequence(a).
     """
     if not is_reduced(a):
         raise NotReducedError(f"word {a} is not reduced")
     w = evaluate(a)
-    if w.length() != v.length() + 1 or as_reflection(v.inverse() * w) is None:
+    t = as_reflection(v.inverse() * w) if w.length() == v.length() + 1 else None
+    if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    hits = [i for i in range(1, len(a) + 1) if evaluate(a.delete(i)) == v]
-    assert len(hits) == 1, f"strong exchange uniqueness failed for {a}"
+    hits = [j for j, pair in enumerate(reflection_sequence(a), 1) if Reflection(a.n, *pair) == t]
+    if len(hits) != 1:
+        raise InvariantError(f"strong exchange uniqueness failed for {a}")
     return hits[0]
 
 
 def insertion_index(a: Word, i: int) -> int:
     """The unique j != i whose deletion from the non-reduced a is reduced.
 
-    The j-deletion automatically evaluates to the same element as the
-    i-deletion.
+    j is the partner of i in reflection_sequence(a): the other position
+    with i's reflection, so both deletions evaluate to the same element.
     """
     if is_reduced(a):
         raise WordIsReducedError(f"word {a} is reduced")
     if not is_reduced(a.delete(i)):
         raise MarkDeletionNotReducedError(f"deleting position {i} of {a} is not reduced")
-    hits = [j for j in range(1, len(a) + 1) if j != i and is_reduced(a.delete(j))]
-    assert len(hits) == 1, f"insertion uniqueness failed for {a} at {i}"
-    j = hits[0]
-    assert evaluate(a.delete(j)) == evaluate(a.delete(i))
+    j = partner_index(a, reflection_sequence(a), i)
+    if evaluate(a.delete(j)) != evaluate(a.delete(i)):
+        raise InvariantError(f"deleting position {j} or {i} of {a} gives different elements")
     return j
 
 
@@ -260,8 +295,6 @@ def cd_subset(w: AffinePermutation) -> CyclicSubset | None:
 
 def cyclically_decreasing_elements(n: int) -> list[AffinePermutation]:
     """All 2^n - 1 cyclically decreasing elements, one per proper subset."""
-    import itertools
-
     out = []
     for k in range(n):
         for members in itertools.combinations(range(n), k):

@@ -264,6 +264,10 @@ def _random_reduced_word(rng, n, length):
     return Word(n, tuple(letters))
 
 
+def _reduced_by_length(a):
+    return evaluate(a).length() == len(a)
+
+
 def test_criterion_08_exchange_and_insertion_suite():
     with criterion(8, "strong exchange and unique insertion, exhaustive and randomized", limit=600.0):
         # exhaustive: n <= 3, word length <= 6
@@ -271,14 +275,14 @@ def test_criterion_08_exchange_and_insertion_suite():
             for length in range(1, 7):
                 for letters in itertools.product(range(n), repeat=length):
                     a = Word(n, letters)
-                    if is_reduced(a):
+                    if _reduced_by_length(a):
                         for k in range(1, length + 1):
                             deletion = a.delete(k)
-                            if is_reduced(deletion):
+                            if _reduced_by_length(deletion):
                                 assert marked_index(a, evaluate(deletion)) == k
                     else:
                         deletable = [
-                            i for i in range(1, length + 1) if is_reduced(a.delete(i))
+                            i for i in range(1, length + 1) if _reduced_by_length(a.delete(i))
                         ]
                         for i in deletable:
                             j = insertion_index(a, i)
@@ -292,16 +296,16 @@ def test_criterion_08_exchange_and_insertion_suite():
             b = _random_reduced_word(rng, n, rng.randint(6, 10))
             k = rng.randint(1, len(b))
             deletion = b.delete(k)
-            if is_reduced(deletion):
+            if _reduced_by_length(deletion):
                 assert marked_index(b, evaluate(deletion)) == k
             position = rng.randint(1, len(b) + 1)
             letter = rng.randrange(n)
             stuffed = Word(
                 n, b.letters[: position - 1] + (letter,) + b.letters[position - 1 :]
             )
-            if not is_reduced(stuffed):
+            if not _reduced_by_length(stuffed):
                 j = insertion_index(stuffed, position)
-                assert is_reduced(stuffed.delete(j))
+                assert _reduced_by_length(stuffed.delete(j))
                 assert evaluate(stuffed.delete(j)) == evaluate(b)
                 # deletion oracle: some two-letter deletion preserves the value
                 target = evaluate(stuffed)

@@ -4,7 +4,28 @@ import sys
 
 import pytest
 
+import affsym
+import affsym.little
+import affsym.words
 from affsym.cli import main
+
+FIGURE_LITTLE = ("little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "5")
+
+# Doubles every reflection sequence, so the mark's reflection occurs twice
+# as often and the unique-insertion count of the walk's first re-mark fails.
+DOUBLED_SEQUENCE = """
+import sys
+import affsym, affsym.little, affsym.words
+from affsym.cli import main
+real = affsym.words.reflection_sequence
+def doubled(a):
+    return real(a) * 2
+for module in (affsym, affsym.words, affsym.little):
+    module.reflection_sequence = doubled
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +111,26 @@ def test_little_not_marked_exits_3(capsys):
         capsys, "little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "3"
     )
     assert code == 3 and err
+
+
+def test_little_uniqueness_failure_exits_1(capsys, monkeypatch):
+    real = affsym.words.reflection_sequence
+    for module in (affsym, affsym.words, affsym.little):
+        monkeypatch.setattr(module, "reflection_sequence", lambda a: real(a) * 2)
+    code, out, err = run_cli(capsys, *FIGURE_LITTLE)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: insertion uniqueness failed")
+
+
+def test_little_uniqueness_failure_exits_1_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DOUBLED_SEQUENCE, *FIGURE_LITTLE],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal error: insertion uniqueness failed")
 
 
 def test_little_json(capsys):
@@ -224,11 +265,12 @@ def test_outputs_are_byte_identical(capsys):
     assert runs[0] == runs[1]
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "affsym", "stanley-table", "-n", "3", "[3,2,1]"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1,1,1: 2", "2,1: 1"]

@@ -4,13 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import affsym.words
 from affsym.errors import (
     FullSetError,
+    InvariantError,
     MarkDeletionNotReducedError,
     NotACoverError,
     WordIsReducedError,
 )
-from affsym.group import bruhat_leq, elements_of_length, from_window, identity, simple
+from affsym.group import (
+    bruhat_leq,
+    elements_of_length,
+    from_window,
+    identity,
+    simple,
+    transposition_element,
+)
+from affsym.little import MarkedWord, PQPair, pq
 from affsym.words import (
     CyclicSubset,
     Word,
@@ -27,6 +37,8 @@ from affsym.words import (
     maximal_cyclic_intervals,
     parse_word,
     reduced_words,
+    reflection_sequence,
+    sequence_is_reduced,
 )
 
 
@@ -35,11 +47,62 @@ def all_words(n, length):
         yield Word(n, letters)
 
 
-reduced_word_inputs = st.integers(min_value=2, max_value=5).flatmap(
+reduced_word_inputs = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.tuples(
         st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), max_size=9)
     )
 )
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: delete a letter, then evaluate the shorter word
+
+
+def reduced_by_length(a):
+    return evaluate(a).length() == len(a)
+
+
+def marked_index_oracle(a, v):
+    """Every position whose deletion evaluates to v."""
+    return [i for i in range(1, len(a) + 1) if evaluate(a.delete(i)) == v]
+
+
+def insertion_index_oracle(a, i):
+    """Every position other than i whose deletion is reduced."""
+    return [j for j in range(1, len(a) + 1) if j != i and reduced_by_length(a.delete(j))]
+
+
+def pq_oracle(m):
+    """(y^-1(t), y^-1(t+1)) from the evaluated suffix y after the mark."""
+    y_inv = evaluate(Word(m.word.n, m.word.letters[m.mark :])).inverse()
+    return PQPair(m.word.n, y_inv(m.marked_letter), y_inv(m.marked_letter + 1))
+
+
+def check_against_oracles(a):
+    """Compare every letter-deletion lookup on a with the references."""
+    w = evaluate(a)
+    sequence = reflection_sequence(a)
+    assert len(sequence) == len(a)
+    reduced = reduced_by_length(a)
+    assert sequence_is_reduced(sequence) == reduced
+    for j, (p, q) in enumerate(sequence, start=1):
+        deletion = a.delete(j)
+        v = evaluate(deletion)
+        assert v == w * transposition_element(a.n, p, q)
+        if not reduced_by_length(deletion):
+            if reduced:
+                with pytest.raises(NotACoverError):
+                    marked_index(a, v)
+            continue
+        assert pq(v, MarkedWord(a, j)) == pq_oracle(MarkedWord(a, j))
+        if reduced:
+            assert marked_index_oracle(a, v) == [j]
+            assert marked_index(a, v) == j
+        else:
+            others = insertion_index_oracle(a, j)
+            assert len(others) == 1
+            assert insertion_index(a, j) == others[0]
+            assert evaluate(a.delete(others[0])) == v
 
 
 def greedy_reduced(n, letters):
@@ -123,27 +186,19 @@ def test_marked_index_round_trip_random(pair, k):
         return
     k = (k - 1) % len(a) + 1
     deletion = a.delete(k)
-    if is_reduced(deletion):
+    if reduced_by_length(deletion):
         assert marked_index(a, evaluate(deletion)) == k
+    check_against_oracles(a)
+    # the raw letters, mostly not reduced, exercise insertion and pq
+    check_against_oracles(Word(n, tuple(letters)))
 
 
-def exhaustive_exchange(n, max_len):
-    for l in range(1, max_len + 1):
-        for a in all_words(n, l):
-            if not is_reduced(a):
-                continue
-            for k in range(1, l + 1):
-                deletion = a.delete(k)
-                if is_reduced(deletion):
-                    assert marked_index(a, evaluate(deletion)) == k
-                else:
-                    with pytest.raises(NotACoverError):
-                        marked_index(a, evaluate(deletion))
-
-
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_marked_index_round_trip_exhaustive(n):
-    exhaustive_exchange(n, 6)
+    for l in range(1, 7):
+        for a in all_words(n, l):
+            if reduced_by_length(a):
+                check_against_oracles(a)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +211,17 @@ def test_insertion_index_examples():
     assert insertion_index(parse_word(2, "00"), 1) == 2
 
 
+def test_uniqueness_counts_raise_typed_errors(monkeypatch):
+    # doubling the sequence makes every reflection occur twice as often
+    real = reflection_sequence
+    monkeypatch.setattr(affsym.words, "reflection_sequence", lambda a: real(a) * 2)
+    v = evaluate(parse_word(5, "3410321042"))
+    with pytest.raises(InvariantError, match="strong exchange uniqueness"):
+        marked_index(parse_word(5, "34102321042"), v)
+    with pytest.raises(InvariantError, match="insertion uniqueness"):
+        insertion_index(parse_word(5, "34101321042"), 5)
+
+
 def test_insertion_index_errors():
     with pytest.raises(WordIsReducedError):
         insertion_index(parse_word(3, "12"), 1)
@@ -166,9 +232,9 @@ def test_insertion_index_errors():
 def insertion_oracle(a, i):
     """Replay the constructive proof of the unique-insertion lemma."""
     prefix_with_mark = Word(a.n, a.letters[:i])
-    if is_reduced(prefix_with_mark):
+    if reduced_by_length(prefix_with_mark):
         for j in range(i + 1, len(a) + 1):
-            if not is_reduced(Word(a.n, a.letters[:j])):
+            if not reduced_by_length(Word(a.n, a.letters[:j])):
                 return j
         raise AssertionError("word was reduced after all")
     # mirror case on the reversed word
@@ -177,22 +243,16 @@ def insertion_oracle(a, i):
     return len(a) + 1 - j
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_insertion_index_exhaustive_with_oracle(n):
     for l in range(2, 7):
         for a in all_words(n, l):
-            if is_reduced(a):
+            if reduced_by_length(a):
                 continue
+            check_against_oracles(a)
             for i in range(1, l + 1):
-                if not is_reduced(a.delete(i)):
-                    continue
-                j = insertion_index(a, i)
-                others = [
-                    k for k in range(1, l + 1) if k != i and is_reduced(a.delete(k))
-                ]
-                assert others == [j]
-                assert evaluate(a.delete(j)) == evaluate(a.delete(i))
-                assert insertion_oracle(a, i) == j
+                if reduced_by_length(a.delete(i)):
+                    assert insertion_oracle(a, i) == insertion_index(a, i)
 
 
 def test_deletion_pair_property():
