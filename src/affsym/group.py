@@ -27,6 +27,7 @@ from .errors import (
     CongruentPairError,
     DuplicateResidueError,
     FormatError,
+    InvariantError,
     NotGrassmannianError,
     PeriodMismatchError,
     WindowLengthError,
@@ -51,8 +52,10 @@ class AffinePermutation:
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if self.n != other.n:
             raise PeriodMismatchError(f"cannot compose period {self.n} with {other.n}")
+        n, window = self.n, self.window
+        # u(j) = u_r + q*n for j - 1 = q*n + r, read off without __call__
         return AffinePermutation(
-            self.n, tuple(self(other(i)) for i in range(1, self.n + 1))
+            n, tuple(window[(j - 1) % n] + (j - 1) // n * n for j in other.window)
         )
 
     def inverse(self) -> "AffinePermutation":
@@ -326,7 +329,10 @@ def _act_on_core(n: int, shape: list[int], letter: int) -> list[int]:
     residue = lambda row, col: (col - row - 1) % n  # rows/cols 0-based here
     add = [c for c in _addable_corners(shape) if residue(*c) == letter % n]
     remove = [c for c in _removable_corners(shape) if residue(*c) == letter % n]
-    assert not (add and remove), "core with both addable and removable corners"
+    if add and remove:
+        raise InvariantError(
+            f"shape {shape} has addable and removable corners of residue {letter % n}"
+        )
     new = list(shape)
     for row, col in add:
         if row == len(new):
@@ -368,9 +374,10 @@ def grassmannian_to_partition(w: AffinePermutation) -> Partition:
         )
         if count > 0
     )
-    assert sum(label) == w.length() and all(
-        label[i] >= label[i + 1] for i in range(len(label) - 1)
-    )
+    if sum(label) != w.length() or list(label) != sorted(label, reverse=True):
+        raise InvariantError(
+            f"label {label} of {list(w.window)} is not a partition of {w.length()}"
+        )
     return label
 
 

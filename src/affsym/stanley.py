@@ -2,19 +2,28 @@
 
 The function attached to w is the generating series whose coefficient
 at a composition alpha counts the factorizations of w into cyclically
-decreasing factors with length profile alpha.  Since the coefficient
-only depends on the multiset of parts (verified at runtime, never
-assumed), the finite data of the function is a table mapping partitions
-of l(w) with parts below n to nonnegative integers.
+decreasing factors with length profile alpha, that is, the coefficient
+of w in h_{alpha_1} ... h_{alpha_r} in the affine nilCoxeter algebra,
+where h_k sums the cyclically decreasing elements of length k.  The
+h_k commute, so the coefficient only depends on the multiset of parts
+and the finite data of the function is a table mapping partitions of
+l(w) with parts below n to nonnegative integers.  The commutation is
+verified at runtime, once per (n, degree), never assumed; by
+associativity it implies rearrangement invariance for every
+composition, so tables count partitions only.
 
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
-in exact integer/rational arithmetic; no floating point anywhere.
+in exact integer/rational arithmetic; no floating point anywhere.  The
+Grassmannian tables are unitriangular in lexicographic order of their
+labels (checked at runtime), so an expansion is an integer
+back-substitution.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +32,7 @@ from .errors import (
     DegreeMismatchError,
     IdentityInputError,
     InputError,
+    PeriodMismatchError,
     SingularSystemError,
     SymmetryViolationError,
 )
@@ -146,7 +156,12 @@ class CoefficientTable:
         self.entries = {k: v for k, v in self.entries.items() if v != 0}
 
     def __add__(self, other: "CoefficientTable") -> "CoefficientTable":
-        assert self.n == other.n and self.degree == other.degree
+        if self.n != other.n:
+            raise PeriodMismatchError(f"cannot add tables of periods {self.n} and {other.n}")
+        if self.degree != other.degree:
+            raise DegreeMismatchError(
+                f"cannot add tables of degrees {self.degree} and {other.degree}"
+            )
         keys = set(self.entries) | set(other.entries)
         return CoefficientTable(
             self.n,
@@ -185,28 +200,47 @@ class CoefficientTable:
         return cls(n, degree, {})
 
 
-def stanley_table(w: AffinePermutation) -> CoefficientTable:
-    """The coefficient table of w, with the rearrangement check.
+@lru_cache(maxsize=None)
+def _commutation_certificate(n: int, degree: int) -> None:
+    """Check h_i h_j = h_j h_i for all 1 <= i < j <= n-1 with i + j <= degree.
 
-    Every composition of l(w) with parts <= n-1 is counted; counts for
-    rearrangements of one partition must agree (symmetry of the
-    generating function) and are stored once per partition.
+    Each product is the {element: count} map of the factor pairs whose
+    lengths add.  By associativity this makes every coefficient of
+    degree `degree` invariant under rearranging its composition.
+    """
+
+    def product(i: int, j: int) -> Counter:
+        products = (
+            left * right for _, left, _ in _cd_factors(n, i) for _, right, _ in _cd_factors(n, j)
+        )
+        return Counter(p for p in products if p.length() == i + j)
+
+    for i in range(1, n):
+        for j in range(i + 1, min(n - 1, degree - i) + 1):
+            if product(i, j) != product(j, i):
+                raise SymmetryViolationError(f"h_{i} h_{j} != h_{j} h_{i} at n = {n}")
+
+
+def stanley_table(w: AffinePermutation) -> CoefficientTable:
+    """The coefficient table of w: one count per partition of l(w).
+
+    Rearrangements of a partition need no separate count: the
+    commutation certificate for (n, l(w)) guarantees they agree, and a
+    failed certificate raises SymmetryViolationError.
 
     >>> stanley_table(from_window(3, [3, 2, 1])).entries
     {(1, 1, 1): 2, (2, 1): 1}
     """
-    by_partition: dict[Partition, dict] = {}
-    for alpha in compositions_bounded(w.length(), w.n - 1):
-        key = tuple(sorted(alpha, reverse=True))
-        by_partition.setdefault(key, {})[alpha] = _coefficient(w, alpha)
-    entries = {}
-    for key, counts in by_partition.items():
-        if len(set(counts.values())) != 1:
-            raise SymmetryViolationError(
-                f"rearrangements of {key} disagree for {list(w.window)}: {counts}"
-            )
-        entries[key] = next(iter(counts.values()))
-    return CoefficientTable(w.n, w.length(), entries)
+    degree = w.length()
+    _commutation_certificate(w.n, degree)
+    # counted at the ascending rearrangement, so the largest part is
+    # peeled first: `expand -n 5 [-1,-2,1,10,7]` then evaluates
+    # _coefficient 1511 times instead of 3810
+    return CoefficientTable(
+        w.n,
+        degree,
+        {key: _coefficient(w, key[::-1]) for key in partitions_bounded(degree, w.n - 1)},
+    )
 
 
 def multiply_by_s1(table: CoefficientTable) -> CoefficientTable:
@@ -310,26 +344,30 @@ def affine_schur_basis(
         if is_grassmannian(w)
     ]
     basis.sort(key=lambda item: item[1])
-    assert len(basis) == len(partitions_bounded(degree, n - 1))
+    if [label for _, label, _ in basis] != partitions_bounded(degree, n - 1):
+        raise SingularSystemError(
+            f"Grassmannian labels at n = {n}, degree {degree} are not the partitions"
+        )
     return basis
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over exact rationals; square system."""
-    size = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSystemError("basis tables are linearly dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [value * inv for value in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+def _solve_unitriangular(basis, target: CoefficientTable) -> list[int]:
+    """Coefficients of target in the basis, by integer back-substitution
+    from the lexicographically largest label down.
+
+    Each basis table must have entry 1 at its label and no support
+    lexicographically above it; this is checked, not assumed.
+    """
+    residual = dict(target.entries)
+    solution = []
+    for _, label, table in reversed(basis):
+        if table.entries.get(label) != 1 or max(table.entries) != label:
+            raise SingularSystemError(f"basis table of {label} is not unitriangular")
+        value = residual.get(label, 0)
+        for mu, entry in table.entries.items():
+            residual[mu] = residual.get(mu, 0) - value * entry
+        solution.append(value)
+    return solution[::-1]
 
 
 @dataclass
@@ -346,18 +384,12 @@ class ExpansionResult:
 
 def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:
     """Solve for the table of w in the span of the same-degree Grassmannian
-    tables, over exact rationals."""
+    tables, by unitriangular back-substitution."""
     degree = w.length()
     basis = affine_schur_basis(w.n, degree)
     monomials = partitions_bounded(degree, w.n - 1)
-    if len(basis) != len(monomials):
-        raise SingularSystemError("basis size does not match monomial count")
     target = stanley_table(w)
-    matrix = [
-        [Fraction(table.entries.get(mu, 0)) for _, _, table in basis] for mu in monomials
-    ]
-    rhs = [Fraction(target.entries.get(mu, 0)) for mu in monomials]
-    solution = _solve_exact(matrix, rhs)
+    solution = [Fraction(value) for value in _solve_unitriangular(basis, target)]
     coefficients = {label: value for (_, label, _), value in zip(basis, solution)}
     return ExpansionResult(coefficients, _residual_zero(basis, solution, target, monomials))
 

@@ -18,6 +18,7 @@ from .group import (
     format_window,
     left_r_covers,
     right_r_covers,
+    simple,
 )
 from .little import (
     MarkedWord,
@@ -144,18 +145,26 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return count, failures
 
 
+def _random_reduced_word(rng: random.Random, n: int) -> Word:
+    """A reduced word of random length 4..9: after a random first letter,
+    each letter is a random ascent i (x(i) < x(i+1)) of the element x
+    spelled so far."""
+    length = rng.randint(4, 9)
+    letters = [rng.randrange(n)]
+    x = simple(n, letters[0])
+    while len(letters) < length:
+        letters.append(rng.choice([i for i in range(n) if x(i) < x(i + 1)]))
+        x = x.times_simple(letters[-1])
+    return Word(n, tuple(letters))
+
+
 def exchange_spot_checks(n: int, samples: int, seed: int) -> tuple[int, list[str]]:
     """Randomized deletion/insertion round trips on reduced words."""
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):
-        length = rng.randint(4, 9)
-        w = [rng.randrange(n)]
-        while len(w) < length:
-            word = Word(n, tuple(w))
-            ascents = [i for i in range(n) if is_reduced(Word(n, word.letters + (i,)))]
-            w.append(rng.choice(ascents))
-        word = Word(n, tuple(w))
+        word = _random_reduced_word(rng, n)
+        length = len(word)
         k = rng.randint(1, length)
         deletion = word.delete(k)
         if is_reduced(deletion):

@@ -202,6 +202,16 @@ def test_expand_command(capsys):
     assert out.splitlines() == ["2,1,1: 1", "2,2: 1"]
 
 
+def test_expand_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "affsym", "expand", "-n", "4", "[-1,4,1,6]"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1: 1\n2,2: 1\n", "")
+
+
 def test_expand_grassmannian_unit(capsys):
     code, out, _ = run_cli(capsys, "expand", "-n", "4", "[-2,1,4,7]")
     assert code == 0

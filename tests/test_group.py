@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import affsym.group as group_module
 from affsym.errors import (
     CongruentPairError,
     DuplicateResidueError,
+    InvariantError,
     NotGrassmannianError,
     WindowLengthError,
     WindowSumError,
@@ -91,6 +93,34 @@ def test_inverse():
     w = from_window(4, [2, 5, 0, 3])
     assert w * w.inverse() == identity(4)
     assert w.inverse() * w == identity(4)
+
+
+def _far_window(n, residues, shifts):
+    # residue permutation plus period shifts summing to zero, so the
+    # entries land far outside [1, n] and the window stays valid
+    shifts = shifts + [-sum(shifts)]
+    return from_window(n, [r + n * k for r, k in zip(residues, shifts)])
+
+
+far_pairs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        *(
+            st.builds(
+                _far_window,
+                st.just(n),
+                st.permutations(range(1, n + 1)),
+                st.lists(st.integers(-40, 40), min_size=n - 1, max_size=n - 1),
+            )
+            for _ in range(2)
+        )
+    )
+)
+
+
+@given(far_pairs)
+def test_window_product_is_composition(pair):
+    u, v = pair
+    assert (u * v).window == tuple(u(v(i)) for i in range(1, u.n + 1))
 
 
 @given(elements, elements, elements)
@@ -278,6 +308,18 @@ def test_partition_label_anchors():
     assert grassmannian_to_partition(identity(4)) == ()
     with pytest.raises(NotGrassmannianError):
         grassmannian_to_partition(from_window(4, [2, 1, 3, 4]))
+
+
+def test_core_action_rejects_non_core():
+    # [2] is not a 2-core: residue 1 has the addable (1, 1) and the removable (0, 2)
+    with pytest.raises(InvariantError):
+        group_module._act_on_core(2, [2], 1)
+
+
+def test_partition_label_shape_is_checked(monkeypatch):
+    monkeypatch.setattr(group_module, "_hook", lambda shape, row, col: 4)
+    with pytest.raises(InvariantError):
+        grassmannian_to_partition(from_window(4, [-2, 1, 4, 7]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

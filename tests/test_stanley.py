@@ -1,9 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from affsym.errors import DegreeMismatchError, IdentityInputError
+import affsym.stanley as stanley_module
+from affsym.cli import main
+from affsym.errors import (
+    DegreeMismatchError,
+    IdentityInputError,
+    PeriodMismatchError,
+    SingularSystemError,
+    SymmetryViolationError,
+)
 from affsym.group import (
     elements_of_length,
     from_window,
@@ -103,6 +112,67 @@ def test_stanley_table_examples():
     assert stanley_table(identity(3)).entries == {(): 1}
 
 
+def _sample(n, length, count, seed):
+    return random.Random(seed).sample(elements_of_length(n, length), count)
+
+
+def _stanley_table_by_compositions(w):
+    """The table of w counted at every composition, with the rearrangement
+    check made element by element."""
+    by_partition: dict = {}
+    for alpha in compositions_bounded(w.length(), w.n - 1):
+        key = tuple(sorted(alpha, reverse=True))
+        by_partition.setdefault(key, {})[alpha] = coefficient(w, alpha)
+    entries = {}
+    for key, counts in by_partition.items():
+        assert len(set(counts.values())) == 1, (key, counts)
+        entries[key] = next(iter(counts.values()))
+    return CoefficientTable(w.n, w.length(), entries)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stanley_table_matches_composition_oracle(n):
+    for l in range(7):
+        for w in elements_of_length(n, l):
+            assert stanley_table(w) == _stanley_table_by_compositions(w)
+
+
+def test_stanley_table_matches_composition_oracle_sampled():
+    for w in _sample(5, 10, 8, seed=11):
+        assert stanley_table(w) == _stanley_table_by_compositions(w)
+
+
+@pytest.fixture
+def dropped_factor(monkeypatch):
+    """`_cd_factors` without its first size-1 factor, on cold caches."""
+    real = stanley_module._cd_factors
+
+    def faulty(n, size):
+        factors = real(n, size)
+        return factors[1:] if size == 1 else factors
+
+    memos = (stanley_module._coefficient, stanley_module._commutation_certificate)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(stanley_module, "_cd_factors", faulty)
+    yield
+    monkeypatch.undo()
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_commutation_certificate_catches_dropped_factor(dropped_factor):
+    with pytest.raises(SymmetryViolationError):
+        stanley_table(from_window(4, [-1, 4, 1, 6]))
+
+
+def test_stanley_table_cli_exits_1_on_dropped_factor(dropped_factor, capsys):
+    assert main(["stanley-table", "-n", "4", "[-1,4,1,6]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 def test_table_arithmetic():
     zero = CoefficientTable.zero(4, 2)
     t = CoefficientTable(4, 2, {(2,): 1, (1, 1): 0})
@@ -110,6 +180,10 @@ def test_table_arithmetic():
     assert zero + t == t
     assert t.scaled(3).entries == {(2,): 3}
     assert zero == CoefficientTable(4, 2, {})
+    with pytest.raises(PeriodMismatchError):
+        t + CoefficientTable.zero(5, 2)
+    with pytest.raises(DegreeMismatchError):
+        t + CoefficientTable.zero(4, 3)
 
 
 def test_multiply_by_s1():
@@ -240,20 +314,79 @@ def test_expand_grassmannian_is_unit_vector():
                 assert nonzero == {grassmannian_to_partition(w): Fraction(1)}
 
 
-def test_exact_solver_and_singular_detection():
-    from affsym.errors import SingularSystemError
-    from affsym.stanley import _solve_exact
+def _solve_gauss(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination over exact rationals; square system."""
+    size = len(rhs)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystemError("basis tables are linearly dependent")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1, 1) / aug[col][col]
+        aug[col] = [value * inv for value in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
 
-    solution = _solve_exact(
+
+def _expand_by_gauss(w):
+    """Coefficients of the table of w in the Grassmannian tables, by a
+    dense Gauss solve that assumes no triangularity."""
+    basis = affine_schur_basis(w.n, w.length())
+    monomials = partitions_bounded(w.length(), w.n - 1)
+    target = stanley_table(w)
+    matrix = [
+        [Fraction(table.entries.get(mu, 0)) for _, _, table in basis] for mu in monomials
+    ]
+    rhs = [Fraction(target.entries.get(mu, 0)) for mu in monomials]
+    return dict(zip((label for _, label, _ in basis), _solve_gauss(matrix, rhs)))
+
+
+def test_exact_solver_and_singular_detection():
+    solution = _solve_gauss(
         [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]],
         [Fraction(5), Fraction(10)],
     )
     assert solution == [Fraction(1), Fraction(3)]
     with pytest.raises(SingularSystemError):
-        _solve_exact(
+        _solve_gauss(
             [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
             [Fraction(1), Fraction(2)],
         )
+
+
+def test_expand_matches_gauss_oracle():
+    elements = [w for n in (2, 3, 4) for l in range(6) for w in elements_of_length(n, l)]
+    elements += _sample(5, 10, 8, seed=7)
+    for w in elements:
+        result = expand_in_affine_schur(w)
+        assert result.exact
+        assert result.coefficients == _expand_by_gauss(w)
+        assert all(isinstance(value, Fraction) for value in result.coefficients.values())
+
+
+def test_non_triangular_basis_is_singular(monkeypatch):
+    real = stanley_module.affine_schur_basis
+
+    def tampered(n, degree):
+        basis = real(n, degree)
+        w, label, table = basis[0]
+        entries = dict(table.entries)
+        entries[basis[-1][1]] = 1  # support above the smallest label
+        return [(w, label, CoefficientTable(n, degree, entries))] + basis[1:]
+
+    monkeypatch.setattr(stanley_module, "affine_schur_basis", tampered)
+    with pytest.raises(SingularSystemError):
+        expand_in_affine_schur(from_window(4, [-1, 4, 1, 6]))
+
+
+def test_basis_labels_must_be_the_partitions(monkeypatch):
+    monkeypatch.setattr(stanley_module, "is_grassmannian", lambda w: False)
+    with pytest.raises(SingularSystemError):
+        affine_schur_basis(4, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
