@@ -15,7 +15,7 @@ import json
 import sys
 
 from .errors import ComputationError, DomainError, InputError
-from .group import covers_above, format_window, parse_window
+from .group import covers_above, format_window, is_r_cover, parse_window
 from .little import (
     generalized_little,
     little_trace,
@@ -50,43 +50,23 @@ def cmd_covers(args) -> int:
     n = _require_period(args.n)
     v = parse_window(n, args.window)
     pairs = covers_above(v)
+    payload = {"n": n, "window": list(v.window)}
     if args.r is None:
-        if args.json:
-            _emit_json(
-                {
-                    "n": n,
-                    "window": list(v.window),
-                    "covers": [
-                        {"window": list(w.window), "reflection": [t.a, t.b]}
-                        for w, t in pairs
-                    ],
-                }
-            )
-        else:
-            for w, t in pairs:
-                print(f"{format_window(w)} {t}")
-        return 0
-    plus = [(w, t) for w, t in pairs if (t.a - args.r) % n == 0]
-    minus = [(w, t) for w, t in pairs if (t.b - args.r) % n == 0]
-    if args.json:
-        _emit_json(
-            {
-                "n": n,
-                "window": list(v.window),
-                "r": args.r,
-                "plus": [
-                    {"window": list(w.window), "reflection": [t.a, t.b]} for w, t in plus
-                ],
-                "minus": [
-                    {"window": list(w.window), "reflection": [t.a, t.b]} for w, t in minus
-                ],
-            }
-        )
+        groups = {"covers": ("", pairs)}
     else:
-        for w, t in plus:
-            print(f"psi+ {format_window(w)} {t}")
-        for w, t in minus:
-            print(f"psi- {format_window(w)} {t}")
+        payload["r"] = args.r
+        groups = {
+            key: (prefix, [(w, t) for w, t in pairs if is_r_cover(t, args.r, side)])
+            for key, prefix, side in (("plus", "psi+ ", "right"), ("minus", "psi- ", "left"))
+        }
+    if args.json:
+        for key, (_, group) in groups.items():
+            payload[key] = [{"window": list(w.window), "reflection": [t.a, t.b]} for w, t in group]
+        _emit_json(payload)
+    else:
+        for prefix, group in groups.values():
+            for w, t in group:
+                print(f"{prefix}{format_window(w)} {t}")
     return 0
 
 

@@ -19,6 +19,7 @@ AffinePermutation(n=4, window=(2, 5, 0, 3))
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,35 +210,52 @@ def canonical_reduced_word(w: AffinePermutation) -> tuple[int, ...]:
 
 
 def covers_above(v: AffinePermutation) -> list[tuple[AffinePermutation, Reflection]]:
-    """All pairs (w, t_{a,b}) with w = v * t_{a,b} and l(w) = l(v) + 1.
+    """All pairs (w, t_{a,b}) with w = v * t_{a,b} and l(w) = l(v) + 1, by (a, b).
 
-    Candidate reflections are bounded by b - a <= n * (l(v) + 2): the
-    length of t_{a,b} grows linearly in (b - a)/n, so longer reflections
-    cannot produce covers.  Output is sorted by the canonical pair (a, b).
+    Direct criterion (Bjorner-Brenti, ch. 8): a < b gives a cover iff
+    v(a) < v(b) < v(c) for every a < c < b with v(c) > v(a).  The scan
+    over b stops below a + n + (max - min of v(i) - i), since past a + n
+    the point c = a + n forces v(b) < v(a) + n.
     """
-    n = v.n
-    lv = v.length()
+    n, window = v.n, v.window
+    shifts = [value - i for i, value in enumerate(window, start=1)]
+    span = n + max(shifts) - min(shifts)
     out = []
     for a in range(1, n + 1):
-        for b in range(a + 1, a + n * (lv + 2) + 1):
-            if (b - a) % n == 0:
-                continue
-            t = Reflection(n, a, b)
-            w = v * t.element()
-            if w.length() == lv + 1:
-                out.append((w, t))
-    out.sort(key=lambda pair: (pair[1].a, pair[1].b))
+        low, ceiling = window[a - 1], math.inf
+        for b in range(a + 1, a + span):
+            value = v(b)
+            if low < value < ceiling:
+                ceiling = value
+                if (b - a) % n:
+                    t = Reflection(n, a, b)
+                    out.append((v * t.element(), t))
     return out
+
+
+def cover_reflection(v: AffinePermutation, w: AffinePermutation) -> Reflection | None:
+    """The reflection t with w = v * t if w covers v in Bruhat order, else None."""
+    if v.n != w.n:
+        raise PeriodMismatchError("mismatched periods")
+    if w.length() != v.length() + 1:
+        return None
+    return as_reflection(v.inverse() * w)
+
+
+def is_r_cover(t: Reflection, r: int, side: str) -> bool:
+    """Whether the cover v * t_{a,b} is a right r-cover (a = r mod n) or,
+    for side "left", a left r-cover (b = r mod n)."""
+    return ((t.a if side == "right" else t.b) - r) % t.n == 0
 
 
 def right_r_covers(v: AffinePermutation, r: int) -> list[AffinePermutation]:
     """Covers w = v t_{a,b} (a < b canonical) with a = r mod n."""
-    return [w for w, t in covers_above(v) if (t.a - r) % v.n == 0]
+    return [w for w, t in covers_above(v) if is_r_cover(t, r, "right")]
 
 
 def left_r_covers(v: AffinePermutation, r: int) -> list[AffinePermutation]:
     """Covers w = v t_{a,b} (a < b canonical) with b = r mod n."""
-    return [w for w, t in covers_above(v) if (t.b - r) % v.n == 0]
+    return [w for w, t in covers_above(v) if is_r_cover(t, r, "left")]
 
 
 def chevalley_coefficient(v: AffinePermutation, w: AffinePermutation, r: int) -> int:
@@ -245,11 +263,7 @@ def chevalley_coefficient(v: AffinePermutation, w: AffinePermutation, r: int) ->
 
     Zero whenever w is not a Bruhat cover of v.
     """
-    if v.n != w.n:
-        raise PeriodMismatchError("mismatched periods")
-    if w.length() != v.length() + 1:
-        return 0
-    t = as_reflection(v.inverse() * w)
+    t = cover_reflection(v, w)
     if t is None:
         return 0
     return sum(1 for x in range(t.a, t.b) if (x - r) % v.n == 0)

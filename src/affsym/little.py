@@ -34,7 +34,7 @@ from .errors import (
     NotRightRCoverError,
     NotVMarkedError,
 )
-from .group import AffinePermutation, Reflection, as_reflection, identity
+from .group import AffinePermutation, Reflection, cover_reflection, identity, is_r_cover
 from .words import (
     CyclicSubset,
     Word,
@@ -200,8 +200,8 @@ def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[M
 
 
 def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> None:
-    t = as_reflection(v.inverse() * w) if w.length() == v.length() + 1 else None
-    if t is None or ((t.a if side == "right" else t.b) - r) % v.n != 0:
+    t = cover_reflection(v, w)
+    if t is None or not is_r_cover(t, r, side):
         error = NotRightRCoverError if side == "right" else NotLeftRCoverError
         raise error(f"{list(w.window)} is not a {side} {r}-cover of {list(v.window)}")
 
@@ -294,23 +294,21 @@ class AlphaDecomposition:
     factors: tuple[CyclicSubset, ...]
 
     def __post_init__(self):
+        w = identity(self.n)
         for factor in self.factors:
             if factor.n != self.n:
                 raise InvalidDecompositionError("factors with mixed periods")
-        if self.product().length() != sum(len(f) for f in self.factors):
-            raise InvalidDecompositionError(
-                f"factor lengths do not add: {self}"
-            )
+            w = w * cd_element(factor)
+        if w.length() != sum(len(f) for f in self.factors):
+            raise InvalidDecompositionError(f"factor lengths do not add: {self}")
+        object.__setattr__(self, "_product", w)
 
     @property
     def alpha(self) -> tuple[int, ...]:
         return tuple(len(f) for f in self.factors)
 
     def product(self) -> AffinePermutation:
-        w = identity(self.n)
-        for factor in self.factors:
-            w = w * cd_element(factor)
-        return w
+        return self._product
 
     def __str__(self) -> str:
         return "/".join(str(f) for f in self.factors)

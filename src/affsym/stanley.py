@@ -41,8 +41,8 @@ from .group import (
     Partition,
     chevalley_coefficient,
     covers_above,
-    elements_of_length,
     from_window,
+    grassmannian_from_partition,
     grassmannian_to_partition,
     is_grassmannian,
     left_r_covers,
@@ -87,14 +87,20 @@ def _cd_factors(n: int, size: int) -> tuple:
     return tuple(out)
 
 
-def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition]:
-    """All factor tuples (A_1, ..., A_r) with |A_k| = alpha_k multiplying
-    to w with lengths adding; deterministic subset order."""
+def _composition_of_length(w: AffinePermutation, alpha) -> tuple[int, ...]:
+    """alpha as a tuple, checked to be a composition of l(w)."""
     alpha = tuple(alpha)
     if any(part < 1 for part in alpha):
         raise DegreeMismatchError(f"composition parts must be positive: {alpha}")
     if sum(alpha) != w.length():
         raise DegreeMismatchError(f"{alpha} is not a composition of {w.length()}")
+    return alpha
+
+
+def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition]:
+    """All factor tuples (A_1, ..., A_r) with |A_k| = alpha_k multiplying
+    to w with lengths adding; deterministic subset order."""
+    alpha = _composition_of_length(w, alpha)
     out = []
 
     def descend(rest: AffinePermutation, remaining, chosen):
@@ -132,12 +138,7 @@ def _coefficient(w: AffinePermutation, alpha: tuple[int, ...]) -> int:
 
 def coefficient(w: AffinePermutation, alpha) -> int:
     """Number of alpha-decompositions of w, without materializing them."""
-    alpha = tuple(alpha)
-    if any(part < 1 for part in alpha):
-        raise DegreeMismatchError(f"composition parts must be positive: {alpha}")
-    if sum(alpha) != w.length():
-        raise DegreeMismatchError(f"{alpha} is not a composition of {w.length()}")
-    return _coefficient(w, alpha)
+    return _coefficient(w, _composition_of_length(w, alpha))
 
 
 @dataclass
@@ -337,17 +338,14 @@ def affine_schur_basis(
     n: int, degree: int
 ) -> list[tuple[AffinePermutation, Partition, CoefficientTable]]:
     """All Grassmannian elements of the given length with labels and tables,
-    sorted by partition label."""
-    basis = [
-        (w, grassmannian_to_partition(w), stanley_table(w))
-        for w in elements_of_length(n, degree)
-        if is_grassmannian(w)
-    ]
-    basis.sort(key=lambda item: item[1])
-    if [label for _, label, _ in basis] != partitions_bounded(degree, n - 1):
-        raise SingularSystemError(
-            f"Grassmannian labels at n = {n}, degree {degree} are not the partitions"
-        )
+    sorted by partition label; each is built from its label and checked to
+    be Grassmannian of that length and label."""
+    basis = []
+    for label in partitions_bounded(degree, n - 1):
+        w = grassmannian_from_partition(n, label)
+        if not is_grassmannian(w) or w.length() != degree or grassmannian_to_partition(w) != label:
+            raise SingularSystemError(f"the Grassmannian element of {label} at n = {n} is wrong")
+        basis.append((w, label, stanley_table(w)))
     return basis
 
 

@@ -15,9 +15,9 @@ import random
 from .group import (
     AffinePermutation,
     bruhat_ball,
+    covers_above,
     format_window,
-    left_r_covers,
-    right_r_covers,
+    is_r_cover,
     simple,
 )
 from .little import (
@@ -25,7 +25,6 @@ from .little import (
     generalized_little,
     inverse_generalized_little,
     phi,
-    phi_r,
     pq,
 )
 from .stanley import (
@@ -77,24 +76,22 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return count, failures
 
 
-def _word_level_check(v: AffinePermutation, r: int) -> list[str]:
+def _word_level_check(v: AffinePermutation, r: int, plus, minus) -> list[str]:
     n = v.n
     failures = []
-    plus = right_r_covers(v, r)
-    minus = left_r_covers(v, r)
     expected = {(u, a.letters) for u in minus for a in reduced_words(u)}
     images = []
     for w in plus:
         for a in reduced_words(w):
-            u, c = phi_r(v, r, a)
+            m = MarkedWord(a, marked_index(a, v))
+            out, path = phi(v, m)
+            u, c = evaluate(out.word), out.word
             if (u, c.letters) not in expected:
                 failures.append(
                     f"phi_r image {c}@{format_window(u)} outside the left covers "
                     f"of v={format_window(v)} r={r}"
                 )
             images.append((u, c.letters))
-            m = MarkedWord(a, marked_index(a, v))
-            _, path = phi(v, m)
             for vertex in [m] + path[:-1]:
                 if (pq(v, vertex).p - r) % n != 0:
                     failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
@@ -111,17 +108,14 @@ def _factor_key(d):
     return tuple(factor.members for factor in d.factors)
 
 
-def _factor_level_check(v: AffinePermutation, r: int) -> list[str]:
+def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decompositions) -> list[str]:
+    """decompositions[alpha][w] lists the alpha-decompositions of each cover w."""
     failures = []
-    plus = right_r_covers(v, r)
-    minus = left_r_covers(v, r)
-    for alpha in compositions_bounded(v.length() + 1, v.n - 1):
-        expected = {
-            (u, _factor_key(d)) for u in minus for d in alpha_decompositions(u, alpha)
-        }
+    for alpha, by_cover in decompositions.items():
+        expected = {(u, _factor_key(d)) for u in minus for d in by_cover[u]}
         images = []
         for w in plus:
-            for d in alpha_decompositions(w, alpha):
+            for d in by_cover[w]:
                 out = generalized_little(v, r, d)
                 if out.alpha != d.alpha:
                     failures.append(f"length profile changed at {d} over {format_window(v)}")
@@ -137,11 +131,22 @@ def _factor_level_check(v: AffinePermutation, r: int) -> list[str]:
 
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    """Covers and their alpha-decompositions are computed once per v and
+    shared by every residue r."""
     count, failures = 0, []
-    for v, r in _instances(n, max_length):
-        count += 1
-        failures.extend(_word_level_check(v, r))
-        failures.extend(_factor_level_check(v, r))
+    for level in bruhat_ball(n, max_length):
+        for v in level:
+            pairs = covers_above(v)
+            decompositions = {
+                alpha: {w: alpha_decompositions(w, alpha) for w, _ in pairs}
+                for alpha in compositions_bounded(v.length() + 1, n - 1)
+            }
+            for r in range(n):
+                plus = [w for w, t in pairs if is_r_cover(t, r, "right")]
+                minus = [w for w, t in pairs if is_r_cover(t, r, "left")]
+                count += 1
+                failures.extend(_word_level_check(v, r, plus, minus))
+                failures.extend(_factor_level_check(v, r, plus, minus, decompositions))
     return count, failures
 
 

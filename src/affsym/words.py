@@ -28,7 +28,7 @@ from .errors import (
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, Reflection, as_reflection, canonical_reduced_word, identity
+from .group import AffinePermutation, Reflection, canonical_reduced_word, cover_reflection, identity
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,7 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     """
     if not is_reduced(a):
         raise NotReducedError(f"word {a} is not reduced")
-    w = evaluate(a)
-    t = as_reflection(v.inverse() * w) if w.length() == v.length() + 1 else None
+    t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
     hits = [j for j, pair in enumerate(reflection_sequence(a), 1) if Reflection(a.n, *pair) == t]

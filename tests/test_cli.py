@@ -212,6 +212,19 @@ def test_expand_under_optimize(child_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1: 1\n2,2: 1\n", "")
 
 
+def test_verify_under_optimize_matches_plain_run(child_env):
+    argv = ["-m", "affsym", "verify", "-n", "3", "--max-length", "2", "all"]
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, text=True, env=child_env
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout.endswith("all checks passed\n")
+
+
 def test_expand_grassmannian_unit(capsys):
     code, out, _ = run_cli(capsys, "expand", "-n", "4", "[-2,1,4,7]")
     assert code == 0

@@ -8,6 +8,7 @@ from affsym.errors import (
     DuplicateResidueError,
     InvariantError,
     NotGrassmannianError,
+    PeriodMismatchError,
     WindowLengthError,
     WindowSumError,
 )
@@ -18,6 +19,7 @@ from affsym.group import (
     bruhat_leq,
     canonical_reduced_word,
     chevalley_coefficient,
+    cover_reflection,
     covers_above,
     elements_of_length,
     from_window,
@@ -237,6 +239,57 @@ def test_covers_match_bfs_subword_oracle(n):
             got = {w for w, _ in covers_above(v)}
             oracle = {w for w in elements_of_length(n, l + 1) if bruhat_leq(v, w)}
             assert got == oracle
+
+
+def covers_by_length(v):
+    """Reference enumeration: every t_{a,b} with b - a <= n * (l(v) + 2),
+    kept when l(v * t) = l(v) + 1, sorted by (a, b)."""
+    n, lv = v.n, v.length()
+    out = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, a + n * (lv + 2) + 1):
+            if (b - a) % n:
+                t = Reflection(n, a, b)
+                w = v * t.element()
+                if w.length() == lv + 1:
+                    out.append((w, t))
+    out.sort(key=lambda pair: (pair[1].a, pair[1].b))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_covers_above_matches_length_filter(n):
+    for level in bruhat_ball(n, 5):
+        for v in level:
+            assert covers_above(v) == covers_by_length(v)
+
+
+def cover_reflection_oracle(v, w):
+    return as_reflection(v.inverse() * w) if w.length() == v.length() + 1 else None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cover_reflection_matches_length_and_as_reflection(n):
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            covers = covers_above(v)
+            for w, t in covers:
+                assert cover_reflection(v, w) == t == cover_reflection_oracle(v, w)
+            candidates = [v, identity(n)] + elements_of_length(n, l + 1)
+            candidates += elements_of_length(n, l + 2)
+            for a in range(1, n + 1):
+                for b in range(a + 1, a + 2 * n + 1):
+                    if (b - a) % n:
+                        candidates.append(v * Reflection(n, a, b).element())
+            non_covers = [w for w in candidates if w not in {w for w, _ in covers}]
+            assert non_covers
+            for w in non_covers:
+                assert cover_reflection(v, w) is None is cover_reflection_oracle(v, w)
+
+
+def test_cover_reflection_rejects_mismatched_periods():
+    with pytest.raises(PeriodMismatchError):
+        cover_reflection(identity(3), identity(4))
 
 
 def test_r_cover_sets_example_8():

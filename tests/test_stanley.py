@@ -295,6 +295,21 @@ def test_affine_schur_basis_examples():
     assert len(affine_schur_basis(3, 4)) == 3
 
 
+def basis_by_filtering(n, degree):
+    """Reference basis: the Grassmannian elements among all elements of
+    that length, with their labels, sorted by label."""
+    grassmannian = [w for w in elements_of_length(n, degree) if is_grassmannian(w)]
+    return sorted(((w, grassmannian_to_partition(w)) for w in grassmannian), key=lambda b: b[1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_affine_schur_basis_matches_filtered_enumeration(n):
+    for degree in range(9):
+        basis = affine_schur_basis(n, degree)
+        assert [(w, label) for w, label, _ in basis] == basis_by_filtering(n, degree)
+        assert all(table == stanley_table(w) for w, _, table in basis)
+
+
 def test_expand_example_8():
     result = expand_in_affine_schur(from_window(4, [-1, 4, 1, 6]))
     assert result.exact
@@ -385,6 +400,19 @@ def test_non_triangular_basis_is_singular(monkeypatch):
 
 def test_basis_labels_must_be_the_partitions(monkeypatch):
     monkeypatch.setattr(stanley_module, "is_grassmannian", lambda w: False)
+    with pytest.raises(SingularSystemError):
+        affine_schur_basis(4, 2)
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        ("grassmannian_from_partition", lambda n, label: simple(n, 0)),  # Grassmannian, length 1
+        ("grassmannian_to_partition", lambda w: (1,) * w.length()),  # wrong label
+    ],
+)
+def test_basis_element_built_from_label_is_checked(monkeypatch, name, fake):
+    monkeypatch.setattr(stanley_module, name, fake)
     with pytest.raises(SingularSystemError):
         affine_schur_basis(4, 2)
 
