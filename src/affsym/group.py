@@ -248,6 +248,11 @@ def is_r_cover(t: Reflection, r: int, side: str) -> bool:
     return ((t.a if side == "right" else t.b) - r) % t.n == 0
 
 
+def residue_count(t: Reflection, r: int) -> int:
+    """Number of integers congruent to r mod n in [a, b-1], for t = t_{a,b}."""
+    return sum(1 for x in range(t.a, t.b) if (x - r) % t.n == 0)
+
+
 def right_r_covers(v: AffinePermutation, r: int) -> list[AffinePermutation]:
     """Covers w = v t_{a,b} (a < b canonical) with a = r mod n."""
     return [w for w, t in covers_above(v) if is_r_cover(t, r, "right")]
@@ -259,14 +264,9 @@ def left_r_covers(v: AffinePermutation, r: int) -> list[AffinePermutation]:
 
 
 def chevalley_coefficient(v: AffinePermutation, w: AffinePermutation, r: int) -> int:
-    """Number of integers congruent to r mod n in [a, b-1], for w = v t_{a,b}.
-
-    Zero whenever w is not a Bruhat cover of v.
-    """
+    """residue_count(t, r) if w = v * t covers v in Bruhat order, else zero."""
     t = cover_reflection(v, w)
-    if t is None:
-        return 0
-    return sum(1 for x in range(t.a, t.b) if (x - r) % v.n == 0)
+    return 0 if t is None else residue_count(t, r)
 
 
 # ---------------------------------------------------------------------------

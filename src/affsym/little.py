@@ -13,6 +13,8 @@ The same walk runs on tuples of cyclically decreasing factors: the
 marked factor takes one set-level cover step (slide the marked run down
 by one) and the mark moves between factors through the unique-insertion
 lemma, giving a bijection of factor tuples with fixed length profile.
+As the profile is fixed, the walk keeps one word in which each factor
+owns a fixed block of positions, and a step rewrites only that block.
 
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
@@ -20,6 +22,7 @@ it, since one word can be marked for different v.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,10 +46,10 @@ from .words import (
     count_reduced_words,
     evaluate,
     is_reduced,
-    marked_index,
     parse_word,
     partner_index,
     reduced_words,
+    reflection_index,
     reflection_sequence,
     sequence_is_reduced,
 )
@@ -199,11 +202,12 @@ def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[M
     return _walk(v, m, _backward, "phi inverse")
 
 
-def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> None:
+def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> Reflection:
     t = cover_reflection(v, w)
     if t is None or not is_r_cover(t, r, side):
         error = NotRightRCoverError if side == "right" else NotLeftRCoverError
         raise error(f"{list(w.window)} is not a {side} {r}-cover of {list(v.window)}")
+    return t
 
 
 def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Word]:
@@ -215,8 +219,8 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     """
     if not is_reduced(a):
         raise NotReducedError(f"word {a} is not reduced")
-    _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, marked_index(a, v)))
+    t = _require_r_cover(v, r, evaluate(a), "right")
+    out, _ = phi(v, MarkedWord(a, reflection_index(a, reflection_sequence(a), t)))
     return evaluate(out.word), out.word
 
 
@@ -322,39 +326,29 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
     return AlphaDecomposition(n, tuple(factors))
 
 
-def _concat_word(n: int, factors) -> tuple[Word, list[tuple[int, int]]]:
-    """The concatenated canonical factor words, and the (factor index,
-    letter) at each of its positions."""
-    spots = [(f, a) for f, factor in enumerate(factors) for a in canonical_cd_word(factor).letters]
-    return Word(n, tuple(a for _, a in spots)), spots
-
-
-def _generalized_walk(v, factors, step) -> tuple[CyclicSubset, ...]:
-    factors = list(factors)
-    word, spots = _concat_word(v.n, factors)
-    f, letter = spots[marked_index(word, v) - 1]
+def _generalized_walk(v, r, d: AlphaDecomposition, side: str, step) -> AlphaDecomposition:
+    t = _require_r_cover(v, r, d.product(), side)
+    factors = list(d.factors)
+    starts = list(itertools.accumulate(d.alpha, initial=0))
+    word = Word(v.n, tuple(a for factor in factors for a in canonical_cd_word(factor).letters))
+    position = reflection_index(word, reflection_sequence(word), t)
     states = math.prod(math.comb(v.n, len(factor)) for factor in factors)
     for _ in range(states * max(1, len(word)) * v.n + 1):
-        moved = step(MarkedSubset(factors[f], letter))
+        f = max(g for g, start in enumerate(starts) if start < position)
+        moved = step(MarkedSubset(factors[f], word[position - 1]))
         factors[f] = moved.subset
-        word, spots = _concat_word(v.n, factors)
+        block = canonical_cd_word(moved.subset).letters
+        word = Word(v.n, word.letters[: starts[f]] + block + word.letters[starts[f + 1] :])
         sequence = reflection_sequence(word)
         if sequence_is_reduced(sequence):
-            return tuple(factors)
-        position = spots.index((f, moved.mark)) + 1
-        g, letter = spots[partner_index(word, sequence, position) - 1]
-        if g == f:
+            out = AlphaDecomposition(d.n, tuple(factors))
+            if out.alpha != d.alpha:
+                raise InvariantError(f"length profile changed from {d} to {out}")
+            return out
+        position = partner_index(word, sequence, starts[f] + block.index(moved.mark) + 1)
+        if starts[f] < position <= starts[f + 1]:
             raise InvariantError("re-mark landed in the moved factor")
-        f = g
     raise CycleOverflowError("generalized walk exceeded its cap")
-
-
-def _factor_little(v, r, d: AlphaDecomposition, side: str, step) -> AlphaDecomposition:
-    _require_r_cover(v, r, d.product(), side)
-    out = AlphaDecomposition(d.n, _generalized_walk(v, d.factors, step))
-    if out.alpha != d.alpha:
-        raise InvariantError(f"length profile changed from {d} to {out}")
-    return out
 
 
 def generalized_little(
@@ -362,11 +356,11 @@ def generalized_little(
 ) -> AlphaDecomposition:
     """Factor-level Little step: maps a factor tuple of a right r-cover of
     v to one of a left r-cover, preserving the length profile alpha."""
-    return _factor_little(v, r, d, "right", cd_cover_step)
+    return _generalized_walk(v, r, d, "right", cd_cover_step)
 
 
 def inverse_generalized_little(
     v: AffinePermutation, r: int, d: AlphaDecomposition
 ) -> AlphaDecomposition:
     """Inverse factor-level step, from left r-covers back to right r-covers."""
-    return _factor_little(v, r, d, "left", cd_cover_step_back)
+    return _generalized_walk(v, r, d, "left", cd_cover_step_back)

@@ -46,6 +46,7 @@ from .group import (
     grassmannian_to_partition,
     is_grassmannian,
     left_r_covers,
+    residue_count,
     right_r_covers,
 )
 from .little import AlphaDecomposition
@@ -322,8 +323,8 @@ def check_chevalley(v: AffinePermutation, r: int) -> ChevalleyReport:
     left = multiply_by_s1(stanley_table(v))
     right = CoefficientTable.zero(v.n, v.length() + 1)
     terms = []
-    for w, _ in covers_above(v):
-        c = chevalley_coefficient(v, w, r)
+    for w, t in covers_above(v):
+        c = residue_count(t, r)
         if c:
             terms.append((w, c))
             right = right + stanley_table(w).scaled(c)

@@ -164,6 +164,14 @@ def partner_index(a: Word, sequence, i: int) -> int:
     return hits[0]
 
 
+def reflection_index(a: Word, sequence, t: Reflection) -> int:
+    """The unique 1-based j with reflection t in a's sequence (strong exchange)."""
+    hits = [j for j, pair in enumerate(sequence, 1) if Reflection(a.n, *pair) == t]
+    if len(hits) != 1:
+        raise InvariantError(f"strong exchange uniqueness failed for {a}")
+    return hits[0]
+
+
 def marked_index(a: Word, v: AffinePermutation) -> int:
     """The unique 1-based i with a_1 .. ^a_i .. a_l a reduced word for v.
 
@@ -175,10 +183,7 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    hits = [j for j, pair in enumerate(reflection_sequence(a), 1) if Reflection(a.n, *pair) == t]
-    if len(hits) != 1:
-        raise InvariantError(f"strong exchange uniqueness failed for {a}")
-    return hits[0]
+    return reflection_index(a, reflection_sequence(a), t)
 
 
 def insertion_index(a: Word, i: int) -> int:

@@ -27,6 +27,23 @@ if __debug__:
 sys.exit(main(sys.argv[1:]))
 """
 
+# A walk over v = [5,0,2,3] that re-marks four times, across factors.
+CROSSING_WALK = (
+    "generalized-little", "-n", "4", "-v", "[5,0,2,3]", "-r", "1", "-d", "1/0/3/2/1",
+)
+
+# Makes every re-mark return the position it was asked about, so the
+# factor walk's first re-mark lands in the factor that just moved.
+SELF_PARTNER = """
+import sys
+import affsym.little
+from affsym.cli import main
+affsym.little.partner_index = lambda a, sequence, i: i
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -164,6 +181,33 @@ def test_generalized_little_command(capsys):
     )
     assert code == 0
     assert out == "13 [2,1,4,3,5]\n"
+
+
+@pytest.mark.parametrize(
+    "decomposition,expected",
+    [("1/0/3/2/1", "0/3/2/1/0 [-1,0,2,9]\n"), ("013/12", "023/01 [-1,0,2,9]\n")],
+)
+def test_generalized_little_walk_across_factors(capsys, decomposition, expected):
+    code, out, _ = run_cli(capsys, *CROSSING_WALK[:-1], decomposition)
+    assert (code, out) == (0, expected)
+
+
+def test_generalized_little_remark_in_moved_factor_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(affsym.little, "partner_index", lambda a, sequence, i: i)
+    code, out, err = run_cli(capsys, *CROSSING_WALK)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: re-mark landed")
+
+
+def test_generalized_little_remark_in_moved_factor_exits_1_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_PARTNER, *CROSSING_WALK],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal error: re-mark landed")
 
 
 def test_generalized_little_bad_cover_exits_3(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -41,13 +42,17 @@ from affsym.stanley import alpha_decompositions, compositions_bounded
 from affsym.words import (
     CyclicSubset,
     Word,
+    canonical_cd_word,
     cd_element,
     evaluate,
     is_cyclically_decreasing,
     is_reduced,
     marked_index,
     parse_word,
+    partner_index,
     reduced_words,
+    reflection_sequence,
+    sequence_is_reduced,
 )
 
 FIG_V = evaluate(parse_word(5, "3410321042"))
@@ -327,6 +332,47 @@ def test_generalized_little_round_trip_and_counts(n):
                         images.append(out)
                     assert len(set(images)) == len(images)
                     assert set(images) == set(minus_decs)
+
+
+def _concat_word_oracle(n, factors):
+    """The concatenated canonical factor words, and the (factor index,
+    letter) at each of its positions."""
+    spots = [(f, a) for f, factor in enumerate(factors) for a in canonical_cd_word(factor).letters]
+    return Word(n, tuple(a for _, a in spots)), spots
+
+
+def _rebuilding_walk(v, factors, step):
+    """The factor walk as it was first written: after every step it rebuilds
+    the concatenated word and a (factor, letter) table of its positions."""
+    factors = list(factors)
+    word, spots = _concat_word_oracle(v.n, factors)
+    f, letter = spots[marked_index(word, v) - 1]
+    states = math.prod(math.comb(v.n, len(factor)) for factor in factors)
+    for _ in range(states * max(1, len(word)) * v.n + 1):
+        moved = step(MarkedSubset(factors[f], letter))
+        factors[f] = moved.subset
+        word, spots = _concat_word_oracle(v.n, factors)
+        sequence = reflection_sequence(word)
+        if sequence_is_reduced(sequence):
+            return tuple(factors)
+        g, letter = spots[partner_index(word, sequence, spots.index((f, moved.mark)) + 1) - 1]
+        assert g != f
+        f = g
+    raise AssertionError("oracle walk exceeded its cap")
+
+
+@pytest.mark.parametrize("n,max_length", [(2, 3), (3, 3), (4, 3), (5, 2)])
+def test_generalized_little_matches_rebuilding_oracle(n, max_length):
+    for l in range(max_length + 1):
+        for v in elements_of_length(n, l):
+            pairs = covers_above(v)
+            for alpha in compositions_bounded(l + 1, n - 1):
+                for w, t in pairs:
+                    for d in alpha_decompositions(w, alpha):
+                        forward = generalized_little(v, t.a % n, d)
+                        assert forward.factors == _rebuilding_walk(v, d.factors, cd_cover_step)
+                        back = inverse_generalized_little(v, t.b % n, d)
+                        assert back.factors == _rebuilding_walk(v, d.factors, cd_cover_step_back)
 
 
 def test_generalized_little_rejects_bad_cover():
