@@ -123,3 +123,7 @@ class CycleOverflowError(ComputationError):
 
 class InvariantError(ComputationError):
     """Unique exchange or insertion, or a Little walk invariant, failed."""
+
+
+class EnumerationError(ComputationError):
+    """An enumeration disagrees with an independent count of its size."""

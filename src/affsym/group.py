@@ -27,6 +27,7 @@ from .errors import (
     BadIndexError,
     CongruentPairError,
     DuplicateResidueError,
+    EnumerationError,
     FormatError,
     InvariantError,
     NotGrassmannianError,
@@ -292,12 +293,35 @@ def bruhat_leq(v: AffinePermutation, w: AffinePermutation) -> bool:
             v = v.times_simple(i)
 
 
+def bott_level_sizes(n: int, max_length: int) -> list[int]:
+    """Number of elements of each length l <= max_length, by Bott's formula:
+    the Poincare series is the product over d = 2..n of [d]_q / (1 - q^(d-1))
+    (Bjorner-Brenti, ch. 7).
+
+    >>> bott_level_sizes(5, 5)
+    [1, 5, 15, 35, 70, 125]
+    """
+    series = [1] + [0] * max_length
+    for d in range(2, n + 1):
+        # times [d]_q = 1 + q + ... + q^(d-1): a running sum of width d
+        product, running = [], 0
+        for k, c in enumerate(series):
+            running += c - (series[k - d] if k >= d else 0)
+            product.append(running)
+        # over 1 - q^(d-1): each coefficient adds the one d-1 below it
+        for k in range(d - 1, max_length + 1):
+            product[k] += product[k - d + 1]
+        series = product
+    return series
+
+
 @lru_cache(maxsize=None)
 def bruhat_ball(n: int, max_length: int) -> tuple[tuple[AffinePermutation, ...], ...]:
     """Tuple indexed by length l <= max_length of all elements of that length.
 
     BFS from the identity along right multiplication by ascents; each
-    level is sorted by window.
+    level is sorted by window.  The level sizes are checked against
+    Bott's formula, so the enumeration is certified complete.
     """
     levels = [(identity(n),)]
     for _ in range(max_length):
@@ -307,6 +331,11 @@ def bruhat_ball(n: int, max_length: int) -> tuple[tuple[AffinePermutation, ...],
                 if w(i) < w(i + 1):
                     frontier.add(w.times_simple(i))
         levels.append(tuple(sorted(frontier, key=lambda w: w.window)))
+    sizes, expected = [len(level) for level in levels], bott_level_sizes(n, max_length)
+    if sizes != expected:
+        raise EnumerationError(
+            f"Bruhat ball level sizes {sizes} at n = {n} differ from Bott's formula {expected}"
+        )
     return tuple(levels)
 
 

@@ -16,6 +16,12 @@ lemma, giving a bijection of factor tuples with fixed length profile.
 As the profile is fixed, the walk keeps one word in which each factor
 owns a fixed block of positions, and a step rewrites only that block.
 
+Both walks run on one integer kernel, `_walk`: factors are n-bit masks
+and the word is a list of ints.  A marked word is the tuple of its
+letters as one-letter factors, since sliding {i} down by one is
+decrementing i.  The public functions validate their input once, at
+entry; `cover_walk` serves callers that hold covers by construction.
+
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
 """
@@ -41,17 +47,18 @@ from .group import AffinePermutation, Reflection, cover_reflection, identity, is
 from .words import (
     CyclicSubset,
     Word,
-    canonical_cd_word,
     cd_element,
-    count_reduced_words,
+    cd_letters,
     evaluate,
     is_reduced,
+    mask_members,
     parse_word,
     partner_index,
     reduced_words,
     reflection_index,
-    reflection_sequence,
     sequence_is_reduced,
+    subset_mask,
+    sweep,
 )
 
 
@@ -127,25 +134,89 @@ def pq(v: AffinePermutation, m: MarkedWord) -> PQPair:
     The full word evaluates to v * t_{p,q}; p < q exactly when it is reduced.
     """
     _require_v_marked(v, m)
-    p, q = reflection_sequence(m.word)[m.mark - 1]
+    p, q = sweep(m.word.n, m.word.letters)[m.mark - 1]
     return PQPair(m.word.n, p, q)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel
+
+
+def _slide(n: int, mask: int, i: int, direction: int) -> tuple[int, int]:
+    """Swap member i of the proper subset mask for the first non-member
+    past its run, downward (direction -1) or upward (+1)."""
+    j = (i + direction) % n
+    while mask >> j & 1:
+        j = (j + direction) % n
+    return mask ^ (1 << i) ^ (1 << j), j
+
+
+def _walk(n: int, masks: list[int], position: int, forward: bool, path=None, cap=None):
+    """Walk from the word of the factor masks, marked at the 1-based
+    position, to the next reduced word; masks change in place.
+
+    Factor f owns a fixed block of the word, as sizes never change.  A
+    step slides the marked factor's run (down forward, up backward),
+    rewrites its block and, unless the word is reduced, re-marks at the
+    other position with the moved letter's reflection.  Returns the last
+    moved position and the final sequence, or None after cap steps (by
+    default the number of states).  path receives each vertex as
+    (letters, mark): forward after the re-mark, backward before it.
+    """
+    word = [a for mask in masks for a in cd_letters(n, mask)]
+    sizes = [mask.bit_count() for mask in masks]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    owner = [f for f, size in enumerate(sizes) for _ in range(size)]
+    if cap is None:
+        cap = math.prod(math.comb(n, size) for size in sizes) * max(1, len(word)) * n + 1
+    direction = -1 if forward else 1
+    for _ in range(cap):
+        f = owner[position - 1]
+        masks[f], mark = _slide(n, masks[f], word[position - 1], direction)
+        block = cd_letters(n, masks[f])
+        word[starts[f] : starts[f + 1]] = block
+        sequence = sweep(n, word)
+        moved = starts[f] + block.index(mark) + 1
+        if sequence_is_reduced(sequence):
+            if path is not None:
+                path.append((tuple(word), moved))
+            return moved, sequence
+        position = partner_index(n, word, sequence, moved)
+        if owner[position - 1] == f:
+            raise InvariantError("re-mark landed in the moved factor")
+        if path is not None:
+            path.append((tuple(word), position if forward else moved))
+    return None
+
+
+def cover_walk(v: AffinePermutation, masks, t: Reflection, forward: bool):
+    """The kernel's entry point for a cover v * t given by factor masks.
+
+    Marks their word at the unique position of t (strong exchange) and
+    walks; returns the image's masks and the reflection t' at its mark,
+    so that the image evaluates to v * t'.  Nothing else is checked: the
+    callers hold covers by construction.
+    """
+    n, masks = v.n, list(masks)
+    word = [a for mask in masks for a in cd_letters(n, mask)]
+    end = _walk(n, masks, reflection_index(n, word, sweep(n, word), t), forward)
+    if end is None:
+        raise CycleOverflowError("generalized walk exceeded its cap")
+    position, sequence = end
+    return tuple(masks), Reflection(n, *sequence[position - 1])
 
 
 # ---------------------------------------------------------------------------
 # The affine Little graph
 
 
-def _forward(m: MarkedWord, _sequence) -> tuple[MarkedWord, tuple]:
-    word = m.word.replace(m.mark, (m.marked_letter - 1) % m.word.n)
-    sequence = reflection_sequence(word)
-    mark = m.mark if sequence_is_reduced(sequence) else partner_index(word, sequence, m.mark)
-    return MarkedWord(word, mark), sequence
-
-
-def _backward(m: MarkedWord, sequence) -> tuple[MarkedWord, tuple]:
-    k = m.mark if sequence_is_reduced(sequence) else partner_index(m.word, sequence, m.mark)
-    word = m.word.replace(k, (m.word[k - 1] + 1) % m.word.n)
-    return MarkedWord(word, k), reflection_sequence(word)
+def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, cap=None):
+    """_walk with every letter of m its own factor: sliding {i} steps i
+    to i -+ 1, so this is the walk on marked words.  Returns its end and
+    its path as marked words."""
+    path = []
+    end = _walk(v.n, [1 << a for a in m.word.letters], mark, forward, path, cap)
+    return end, [MarkedWord(Word(v.n, letters), k) for letters, k in path]
 
 
 def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
@@ -155,35 +226,30 @@ def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     to the unique other position whose deletion is a reduced word for v.
     """
     _require_v_marked(v, m)
-    return _forward(m, None)[0]
+    return _letter_walk(v, m, m.mark, True, cap=1)[1][0]
 
 
 def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     """The unique in-edge: re-mark first, then increment that letter mod n."""
     _require_v_marked(v, m)
-    return _backward(m, reflection_sequence(m.word))[0]
+    n, letters = v.n, m.word.letters
+    sequence = sweep(n, letters)
+    k = m.mark if sequence_is_reduced(sequence) else partner_index(n, letters, sequence, m.mark)
+    return _letter_walk(v, m, k, False, cap=1)[1][0]
 
 
-def _walk(v: AffinePermutation, m: MarkedWord, step, name: str):
-    """Step from the reduced v-marked m to the next reduced word.
+def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str):
+    """Walk from the reduced v-marked m to the next reduced word.
 
-    A step maps a vertex and its word's reflection sequence to the next
-    ones.  A re-mark has the mark's reflection, so only m needs checking.
+    A re-mark has the mark's reflection, so only m needs checking.
     """
     _require_v_marked(v, m)
-    sequence = reflection_sequence(m.word)
-    if not sequence_is_reduced(sequence):
+    if not is_reduced(m.word):
         raise NotReducedError(f"{m} is not a reduced marked word")
-    path = []
-    current = m
-    # every v-marked word of this length inserts one of n letters at one
-    # of len(m.word) positions into some reduced word of v
-    for _ in range(v.n * len(m.word) * count_reduced_words(v) + 1):
-        current, sequence = step(current, sequence)
-        path.append(current)
-        if sequence_is_reduced(sequence):
-            return current, path
-    raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
+    end, path = _letter_walk(v, m, m.mark, forward)
+    if end is None:
+        raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
+    return path[-1], path
 
 
 def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
@@ -194,12 +260,12 @@ def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWor
     the graph are finite and never loops, which the iteration cap turns
     into a runtime check.
     """
-    return _walk(v, m, _forward, "phi")
+    return _marked_walk(v, m, True, "phi")
 
 
 def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
     """Inverse of phi, by iterating backward steps; same path convention."""
-    return _walk(v, m, _backward, "phi inverse")
+    return _marked_walk(v, m, False, "phi inverse")
 
 
 def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> Reflection:
@@ -220,7 +286,7 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     if not is_reduced(a):
         raise NotReducedError(f"word {a} is not reduced")
     t = _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, reflection_index(a, reflection_sequence(a), t)))
+    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, sweep(a.n, a.letters), t)))
     return evaluate(out.word), out.word
 
 
@@ -257,17 +323,10 @@ class MarkedSubset:
             raise MarkAbsentError(f"mark {self.mark} not in subset {self.subset}")
 
 
-def _slide(ms: MarkedSubset, direction: int) -> MarkedSubset:
-    n, members = ms.subset.n, set(ms.subset.members)
-    i = ms.mark % n
-    run = 1
-    while run < n and (i + direction * run) % n in members:
-        run += 1
-    new_mark = (i + direction * run) % n
-    if new_mark in members:
-        raise InvariantError("run maximality violated")
-    new_members = (members - {i}) | {new_mark}
-    return MarkedSubset(CyclicSubset(n, tuple(new_members)), new_mark)
+def _slide_subset(ms: MarkedSubset, direction: int) -> MarkedSubset:
+    n = ms.subset.n
+    mask, mark = _slide(n, subset_mask(ms.subset.members), ms.mark % n, direction)
+    return MarkedSubset(CyclicSubset(n, mask_members(n, mask)), mark)
 
 
 def cd_cover_step(ms: MarkedSubset) -> MarkedSubset:
@@ -277,13 +336,13 @@ def cd_cover_step(ms: MarkedSubset) -> MarkedSubset:
     This is the factor-level forward step; it is independent of any
     reduced-word choice.
     """
-    return _slide(ms, -1)
+    return _slide_subset(ms, -1)
 
 
 def cd_cover_step_back(ms: MarkedSubset) -> MarkedSubset:
     """Inverse slide: replace mark i by i+k+1 for maximal k with
     {i, i+1, ..., i+k} inside the subset."""
-    return _slide(ms, 1)
+    return _slide_subset(ms, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,29 +385,13 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
     return AlphaDecomposition(n, tuple(factors))
 
 
-def _generalized_walk(v, r, d: AlphaDecomposition, side: str, step) -> AlphaDecomposition:
+def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     t = _require_r_cover(v, r, d.product(), side)
-    factors = list(d.factors)
-    starts = list(itertools.accumulate(d.alpha, initial=0))
-    word = Word(v.n, tuple(a for factor in factors for a in canonical_cd_word(factor).letters))
-    position = reflection_index(word, reflection_sequence(word), t)
-    states = math.prod(math.comb(v.n, len(factor)) for factor in factors)
-    for _ in range(states * max(1, len(word)) * v.n + 1):
-        f = max(g for g, start in enumerate(starts) if start < position)
-        moved = step(MarkedSubset(factors[f], word[position - 1]))
-        factors[f] = moved.subset
-        block = canonical_cd_word(moved.subset).letters
-        word = Word(v.n, word.letters[: starts[f]] + block + word.letters[starts[f + 1] :])
-        sequence = reflection_sequence(word)
-        if sequence_is_reduced(sequence):
-            out = AlphaDecomposition(d.n, tuple(factors))
-            if out.alpha != d.alpha:
-                raise InvariantError(f"length profile changed from {d} to {out}")
-            return out
-        position = partner_index(word, sequence, starts[f] + block.index(moved.mark) + 1)
-        if starts[f] < position <= starts[f + 1]:
-            raise InvariantError("re-mark landed in the moved factor")
-    raise CycleOverflowError("generalized walk exceeded its cap")
+    masks, _ = cover_walk(v, [subset_mask(f.members) for f in d.factors], t, side == "right")
+    out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
+    if out.alpha != d.alpha:
+        raise InvariantError(f"length profile changed from {d} to {out}")
+    return out
 
 
 def generalized_little(
@@ -356,11 +399,11 @@ def generalized_little(
 ) -> AlphaDecomposition:
     """Factor-level Little step: maps a factor tuple of a right r-cover of
     v to one of a left r-cover, preserving the length profile alpha."""
-    return _generalized_walk(v, r, d, "right", cd_cover_step)
+    return _generalized_walk(v, r, d, "right")
 
 
 def inverse_generalized_little(
     v: AffinePermutation, r: int, d: AlphaDecomposition
 ) -> AlphaDecomposition:
     """Inverse factor-level step, from left r-covers back to right r-covers."""
-    return _generalized_walk(v, r, d, "left", cd_cover_step_back)
+    return _generalized_walk(v, r, d, "left")

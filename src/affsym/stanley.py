@@ -50,7 +50,7 @@ from .group import (
     right_r_covers,
 )
 from .little import AlphaDecomposition
-from .words import CyclicSubset, cd_element
+from .words import CyclicSubset, cd_element, cd_letters, mask_members, subset_mask
 
 
 def compositions_bounded(total: int, max_part: int):
@@ -102,24 +102,57 @@ def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition
     """All factor tuples (A_1, ..., A_r) with |A_k| = alpha_k multiplying
     to w with lengths adding; deterministic subset order."""
     alpha = _composition_of_length(w, alpha)
-    out = []
+    return [
+        AlphaDecomposition(w.n, tuple(CyclicSubset(w.n, mask_members(w.n, m)) for m in masks))
+        for masks in decomposition_masks(w, alpha)
+    ]
 
-    def descend(rest: AffinePermutation, remaining, chosen):
+
+@lru_cache(maxsize=None)
+def _cd_masks(n: int, size: int) -> tuple:
+    """(mask, canonical letters) for each factor of _cd_factors, in its order."""
+    masks = (subset_mask(members) for members, _, _ in _cd_factors(n, size))
+    return tuple((mask, cd_letters(n, mask)) for mask in masks)
+
+
+def _peel(n: int, u: list[int], letters) -> list[int] | None:
+    """u * s_{a_1} ... s_{a_k} if each letter is a right descent as it is
+    applied, else None.  For u = w^-1 and the letters of w(A) that is the
+    inverse of w(A)^-1 w exactly when l(w(A)^-1 w) = l(w) - |A|."""
+    u = list(u)
+    for a in letters:
+        if a:
+            if u[a - 1] < u[a]:
+                return None
+            u[a - 1], u[a] = u[a], u[a - 1]
+        else:
+            if u[-1] - n < u[0]:
+                return None
+            u[0], u[-1] = u[-1] - n, u[0] + n
+    return u
+
+
+def decomposition_masks(w: AffinePermutation, alpha: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The alpha-decompositions of w as tuples of factor masks, in the
+    order of alpha_decompositions; alpha must be a composition of l(w).
+
+    Peels the factors off the left of w, letter by letter, on the window
+    of w^-1."""
+    n, out = w.n, []
+    identity_window = list(range(1, n + 1))
+
+    def descend(u, remaining, chosen):
         if not remaining:
-            if rest.is_identity():
+            if u == identity_window:
                 out.append(chosen)
             return
-        target = rest.length() - remaining[0]
-        for members, _, inverse in _cd_factors(w.n, remaining[0]):
-            tail = inverse * rest
-            if tail.length() == target:
-                descend(tail, remaining[1:], chosen + (members,))
+        for mask, letters in _cd_masks(n, remaining[0]):
+            tail = _peel(n, u, letters)
+            if tail is not None:
+                descend(tail, remaining[1:], chosen + (mask,))
 
-    descend(w, alpha, ())
-    return [
-        AlphaDecomposition(w.n, tuple(CyclicSubset(w.n, m) for m in members))
-        for members in out
-    ]
+    descend(list(w.inverse().window), alpha, ())
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -350,9 +383,10 @@ def affine_schur_basis(
     return basis
 
 
-def _solve_unitriangular(basis, target: CoefficientTable) -> list[int]:
+def _solve_unitriangular(basis, target: CoefficientTable) -> tuple[list[int], dict]:
     """Coefficients of target in the basis, by integer back-substitution
-    from the lexicographically largest label down.
+    from the lexicographically largest label down, and the residual
+    target - sum of value * table, by partition.
 
     Each basis table must have entry 1 at its label and no support
     lexicographically above it; this is checked, not assumed.
@@ -366,7 +400,7 @@ def _solve_unitriangular(basis, target: CoefficientTable) -> list[int]:
         for mu, entry in table.entries.items():
             residual[mu] = residual.get(mu, 0) - value * entry
         solution.append(value)
-    return solution[::-1]
+    return solution[::-1], residual
 
 
 @dataclass
@@ -384,23 +418,10 @@ class ExpansionResult:
 def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:
     """Solve for the table of w in the span of the same-degree Grassmannian
     tables, by unitriangular back-substitution."""
-    degree = w.length()
-    basis = affine_schur_basis(w.n, degree)
-    monomials = partitions_bounded(degree, w.n - 1)
-    target = stanley_table(w)
-    solution = [Fraction(value) for value in _solve_unitriangular(basis, target)]
-    coefficients = {label: value for (_, label, _), value in zip(basis, solution)}
-    return ExpansionResult(coefficients, _residual_zero(basis, solution, target, monomials))
-
-
-def _residual_zero(basis, solution, target, monomials) -> bool:
-    for mu in monomials:
-        total = sum(
-            value * table.entries.get(mu, 0) for (_, _, table), value in zip(basis, solution)
-        )
-        if total != target.entries.get(mu, 0):
-            return False
-    return True
+    basis = affine_schur_basis(w.n, w.length())
+    solution, residual = _solve_unitriangular(basis, stanley_table(w))
+    coefficients = {label: Fraction(value) for (_, label, _), value in zip(basis, solution)}
+    return ExpansionResult(coefficients, not any(residual.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,24 @@ from .group import (
     is_r_cover,
     simple,
 )
-from .little import (
-    MarkedWord,
-    generalized_little,
-    inverse_generalized_little,
-    phi,
-    pq,
-)
+from .little import MarkedWord, cover_walk, phi
 from .stanley import (
-    alpha_decompositions,
     check_chevalley,
     check_garsia_little,
     compositions_bounded,
+    decomposition_masks,
 )
 from .words import (
     Word,
     evaluate,
+    format_letters,
     insertion_index,
     is_reduced,
     marked_index,
+    mask_members,
     reduced_words,
+    reflection_index,
+    sweep,
 )
 
 
@@ -77,25 +75,31 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
 
 
 def _word_level_check(v: AffinePermutation, r: int, plus, minus) -> list[str]:
+    """Each reduced word of a right r-cover w = v * t is marked at t's
+    position and walked by phi.  Words stand for their elements: distinct
+    elements have disjoint sets of reduced words."""
     n = v.n
     failures = []
-    expected = {(u, a.letters) for u in minus for a in reduced_words(u)}
+    expected = {a.letters for u, _ in minus for a in reduced_words(u)}
     images = []
-    for w in plus:
+    for w, t in plus:
         for a in reduced_words(w):
-            m = MarkedWord(a, marked_index(a, v))
+            sequence = sweep(n, a.letters)
+            m = MarkedWord(a, reflection_index(n, a.letters, sequence, t))
             out, path = phi(v, m)
-            u, c = evaluate(out.word), out.word
-            if (u, c.letters) not in expected:
+            c = out.word
+            if c.letters not in expected:
                 failures.append(
-                    f"phi_r image {c}@{format_window(u)} outside the left covers "
+                    f"phi_r image {c}@{format_window(evaluate(c))} outside the left covers "
                     f"of v={format_window(v)} r={r}"
                 )
-            images.append((u, c.letters))
-            for vertex in [m] + path[:-1]:
-                if (pq(v, vertex).p - r) % n != 0:
+            images.append(c.letters)
+            # the (p, q) pair at each vertex's mark, as pq reads it
+            pairs = [sequence[m.mark - 1]] + [sweep(n, x.word.letters)[x.mark - 1] for x in path]
+            for vertex, (p, _) in zip([m] + path[:-1], pairs):
+                if (p - r) % n != 0:
                     failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
-            if (pq(v, path[-1]).q - r) % n != 0:
+            if (pairs[-1][1] - r) % n != 0:
                 failures.append(f"path q-invariant fails at {path[-1]} over {format_window(v)}")
     if len(set(images)) != len(images):
         failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
@@ -104,25 +108,29 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus) -> list[str]:
     return failures
 
 
-def _factor_key(d):
-    return tuple(factor.members for factor in d.factors)
+def _format_masks(n: int, masks) -> str:
+    return "/".join(format_letters(n, mask_members(n, mask)) for mask in masks)
 
 
 def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decompositions) -> list[str]:
-    """decompositions[alpha][w] lists the alpha-decompositions of each cover w."""
+    """decompositions[alpha][w] lists the alpha-decompositions of each
+    cover w as factor masks; an image is keyed by its cover reflection."""
     failures = []
     for alpha, by_cover in decompositions.items():
-        expected = {(u, _factor_key(d)) for u in minus for d in by_cover[u]}
+        expected = {(t, d) for u, t in minus for d in by_cover[u]}
         images = []
-        for w in plus:
+        for w, t in plus:
             for d in by_cover[w]:
-                out = generalized_little(v, r, d)
-                if out.alpha != d.alpha:
-                    failures.append(f"length profile changed at {d} over {format_window(v)}")
-                back = inverse_generalized_little(v, r, out)
-                if back != d:
-                    failures.append(f"round trip fails at {d} over {format_window(v)} r={r}")
-                images.append((out.product(), _factor_key(out)))
+                out, t_out = cover_walk(v, d, t, True)
+                if tuple(mask.bit_count() for mask in out) != alpha:
+                    failures.append(
+                        f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
+                    )
+                if cover_walk(v, out, t_out, False)[0] != d:
+                    failures.append(
+                        f"round trip fails at {_format_masks(v.n, d)} over {format_window(v)} r={r}"
+                    )
+                images.append((t_out, out))
         if len(set(images)) != len(images) or set(images) != expected:
             failures.append(
                 f"factor-level map not bijective at v={format_window(v)} r={r} alpha={alpha}"
@@ -132,18 +140,19 @@ def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decomposition
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     """Covers and their alpha-decompositions are computed once per v and
-    shared by every residue r."""
+    shared by every residue r; every walk starts from the reflection of
+    its cover."""
     count, failures = 0, []
     for level in bruhat_ball(n, max_length):
         for v in level:
             pairs = covers_above(v)
             decompositions = {
-                alpha: {w: alpha_decompositions(w, alpha) for w, _ in pairs}
+                alpha: {w: decomposition_masks(w, alpha) for w, _ in pairs}
                 for alpha in compositions_bounded(v.length() + 1, n - 1)
             }
             for r in range(n):
-                plus = [w for w, t in pairs if is_r_cover(t, r, "right")]
-                minus = [w for w, t in pairs if is_r_cover(t, r, "left")]
+                plus = [(w, t) for w, t in pairs if is_r_cover(t, r, "right")]
+                minus = [(w, t) for w, t in pairs if is_r_cover(t, r, "left")]
                 count += 1
                 failures.extend(_word_level_check(v, r, plus, minus))
                 failures.extend(_factor_level_check(v, r, plus, minus, decompositions))

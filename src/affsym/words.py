@@ -2,9 +2,14 @@
 
 A word evaluates to the product of its simple reflections read left to
 right.  A word is reduced when its length equals the length of its
-evaluation; reducedness is tested incrementally, one ascent check per
-letter.  Strong exchange and unique insertion are lookups in a word's
-reflection sequence.
+evaluation.  Reducedness, strong exchange and unique insertion are all
+read off a word's reflection sequence.
+
+The lookups run on plain ints, as do the walks of `little`: `sweep`
+computes the sequence of a list of letters on one window list, the
+index scans compare normalised (a, b) pairs, and a cyclically
+decreasing factor is an n-bit mask whose canonical letters `cd_letters`
+tabulates.  The functions on Word and CyclicSubset validate, then call them.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
@@ -100,13 +105,8 @@ def evaluate(a: Word) -> AffinePermutation:
 
 
 def is_reduced(a: Word) -> bool:
-    """True iff every prefix increases length, i.e. l(evaluate(a)) = len(a)."""
-    w = identity(a.n)
-    for i in a.letters:
-        if w(i) > w(i + 1):
-            return False
-        w = w.times_simple(i)
-    return True
+    """True iff l(evaluate(a)) = len(a), i.e. p_j < q_j all along reflection_sequence(a)."""
+    return sequence_is_reduced(sweep(a.n, a.letters))
 
 
 @lru_cache(maxsize=None)
@@ -142,33 +142,57 @@ def reflection_sequence(a: Word) -> tuple[tuple[int, int], ...]:
     >>> reflection_sequence(parse_word(3, "121"))
     ((2, 3), (1, 3), (1, 2))
     """
-    y_inv = identity(a.n)
+    return tuple(sweep(a.n, a.letters))
+
+
+def sweep(n: int, letters) -> list[tuple[int, int]]:
+    """reflection_sequence of plain letters: one right-to-left pass that
+    keeps the window of y^-1 in a list and swaps it in place."""
+    window = list(range(1, n + 1))
     out = []
-    for letter in reversed(a.letters):
-        out.append((y_inv(letter), y_inv(letter + 1)))
-        y_inv = y_inv.times_simple(letter)
-    return tuple(reversed(out))
+    for i in reversed(letters):
+        if i:
+            p, q = window[i - 1], window[i]
+            window[i - 1], window[i] = q, p
+        else:
+            p, q = window[-1] - n, window[0]
+            window[0], window[-1] = p, q + n
+        out.append((p, q))
+    out.reverse()
+    return out
 
 
 def sequence_is_reduced(sequence) -> bool:
     return all(p < q for p, q in sequence)
 
 
-def partner_index(a: Word, sequence, i: int) -> int:
-    """The unique j != i with i's reflection in a's sequence; deleting
-    either letter gives the same element (unique insertion)."""
-    t = Reflection(a.n, *sequence[i - 1])
-    hits = [j for j, pair in enumerate(sequence, 1) if j != i and Reflection(a.n, *pair) == t]
+def _positions(n: int, sequence, p: int, q: int) -> list[int]:
+    """1-based positions whose pair gives the reflection t(p, q).  Pairs
+    are compared in Reflection's normal form, as ints: the gap b - a and
+    the residue of a, for a < b the sorted pair."""
+    low, gap = min(p, q) % n, abs(q - p)
+    return [
+        j
+        for j, (x, y) in enumerate(sequence, 1)
+        if (y - x == gap and (x - low) % n == 0) or (x - y == gap and (y - low) % n == 0)
+    ]
+
+
+def partner_index(n: int, letters, sequence, i: int) -> int:
+    """The unique j != i with i's reflection in the sequence of the
+    letters; deleting either letter gives the same element (unique insertion)."""
+    hits = [j for j in _positions(n, sequence, *sequence[i - 1]) if j != i]
     if len(hits) != 1:
-        raise InvariantError(f"insertion uniqueness failed for {a} at {i}")
+        raise InvariantError(f"insertion uniqueness failed for {format_letters(n, letters)} at {i}")
     return hits[0]
 
 
-def reflection_index(a: Word, sequence, t: Reflection) -> int:
-    """The unique 1-based j with reflection t in a's sequence (strong exchange)."""
-    hits = [j for j, pair in enumerate(sequence, 1) if Reflection(a.n, *pair) == t]
+def reflection_index(n: int, letters, sequence, t: Reflection) -> int:
+    """The unique 1-based j with reflection t in the sequence of the letters
+    (strong exchange)."""
+    hits = _positions(n, sequence, t.a, t.b)
     if len(hits) != 1:
-        raise InvariantError(f"strong exchange uniqueness failed for {a}")
+        raise InvariantError(f"strong exchange uniqueness failed for {format_letters(n, letters)}")
     return hits[0]
 
 
@@ -178,12 +202,13 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     Requires a reduced and evaluate(a) = v * t a Bruhat cover of v; i is
     the only position with reflection t in reflection_sequence(a).
     """
-    if not is_reduced(a):
+    sequence = sweep(a.n, a.letters)
+    if not sequence_is_reduced(sequence):
         raise NotReducedError(f"word {a} is not reduced")
     t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    return reflection_index(a, reflection_sequence(a), t)
+    return reflection_index(a.n, a.letters, sequence, t)
 
 
 def insertion_index(a: Word, i: int) -> int:
@@ -196,7 +221,7 @@ def insertion_index(a: Word, i: int) -> int:
         raise WordIsReducedError(f"word {a} is reduced")
     if not is_reduced(a.delete(i)):
         raise MarkDeletionNotReducedError(f"deleting position {i} of {a} is not reduced")
-    j = partner_index(a, reflection_sequence(a), i)
+    j = partner_index(a.n, a.letters, sweep(a.n, a.letters), i)
     if evaluate(a.delete(j)) != evaluate(a.delete(i)):
         raise InvariantError(f"deleting position {j} or {i} of {a} gives different elements")
     return j
@@ -271,6 +296,22 @@ def canonical_cd_word(subset: CyclicSubset) -> Word:
     for run in maximal_cyclic_intervals(subset):
         letters.extend(reversed(run))
     return Word(subset.n, tuple(letters))
+
+
+def subset_mask(members) -> int:
+    """The bitmask of a set of residues: bit i for residue i."""
+    return sum(1 << i for i in members)
+
+
+def mask_members(n: int, mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def cd_letters(n: int, mask: int) -> tuple[int, ...]:
+    """The letters of canonical_cd_word for the subset with that bitmask;
+    the per-n table fills lazily, one mask at a time."""
+    return canonical_cd_word(CyclicSubset(n, mask_members(n, mask))).letters
 
 
 def cd_element(subset: CyclicSubset) -> AffinePermutation:

@@ -11,17 +11,18 @@ from affsym.cli import main
 
 FIGURE_LITTLE = ("little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "5")
 
-# Doubles every reflection sequence, so the mark's reflection occurs twice
-# as often and the unique-insertion count of the walk's first re-mark fails.
+# Doubles every reflection sequence the kernel sweeps, so the mark's
+# reflection occurs twice as often and the unique-insertion count of the
+# walk's first re-mark fails.
 DOUBLED_SEQUENCE = """
 import sys
-import affsym, affsym.little, affsym.words
+import affsym.little, affsym.words
 from affsym.cli import main
-real = affsym.words.reflection_sequence
-def doubled(a):
-    return real(a) * 2
-for module in (affsym, affsym.words, affsym.little):
-    module.reflection_sequence = doubled
+real = affsym.words.sweep
+def doubled(n, letters):
+    return real(n, letters) * 2
+for module in (affsym.words, affsym.little):
+    module.sweep = doubled
 if __debug__:
     sys.exit("asserts are on: run with -O")
 sys.exit(main(sys.argv[1:]))
@@ -38,7 +39,7 @@ SELF_PARTNER = """
 import sys
 import affsym.little
 from affsym.cli import main
-affsym.little.partner_index = lambda a, sequence, i: i
+affsym.little.partner_index = lambda n, letters, sequence, i: i
 if __debug__:
     sys.exit("asserts are on: run with -O")
 sys.exit(main(sys.argv[1:]))
@@ -131,9 +132,9 @@ def test_little_not_marked_exits_3(capsys):
 
 
 def test_little_uniqueness_failure_exits_1(capsys, monkeypatch):
-    real = affsym.words.reflection_sequence
-    for module in (affsym, affsym.words, affsym.little):
-        monkeypatch.setattr(module, "reflection_sequence", lambda a: real(a) * 2)
+    real = affsym.words.sweep
+    for module in (affsym.words, affsym.little):
+        monkeypatch.setattr(module, "sweep", lambda n, letters: real(n, letters) * 2)
     code, out, err = run_cli(capsys, *FIGURE_LITTLE)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: insertion uniqueness failed")
@@ -193,7 +194,7 @@ def test_generalized_little_walk_across_factors(capsys, decomposition, expected)
 
 
 def test_generalized_little_remark_in_moved_factor_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(affsym.little, "partner_index", lambda a, sequence, i: i)
+    monkeypatch.setattr(affsym.little, "partner_index", lambda n, letters, sequence, i: i)
     code, out, err = run_cli(capsys, *CROSSING_WALK)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: re-mark landed")

@@ -1,3 +1,7 @@
+import itertools
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +10,7 @@ import affsym.group as group_module
 from affsym.errors import (
     CongruentPairError,
     DuplicateResidueError,
+    EnumerationError,
     InvariantError,
     NotGrassmannianError,
     PeriodMismatchError,
@@ -13,8 +18,10 @@ from affsym.errors import (
     WindowSumError,
 )
 from affsym.group import (
+    AffinePermutation,
     Reflection,
     as_reflection,
+    bott_level_sizes,
     bruhat_ball,
     bruhat_leq,
     canonical_reduced_word,
@@ -444,3 +451,78 @@ def test_simple_index_out_of_range():
         simple(4, 4)
     with pytest.raises(BadIndexError):
         simple(4, -1)
+
+
+# ---------------------------------------------------------------------------
+# level sizes certified by Bott's formula
+
+
+def test_bott_level_sizes_examples():
+    assert bott_level_sizes(2, 4) == [1, 2, 2, 2, 2]
+    assert bott_level_sizes(5, 5) == [1, 5, 15, 35, 70, 125]
+    assert bott_level_sizes(6, 0) == [1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bott_level_sizes_count_elements_by_inversions(n):
+    # every window with entries in [1 - 3n, 4n], counted by its length
+    # directly; a range too narrow for length 3 could only undercount
+    counts = [0] * 4
+    values = range(1 - 3 * n, 4 * n + 1)
+    for window in itertools.product(values, repeat=n - 1):
+        last = n * (n + 1) // 2 - sum(window)
+        full = window + (last,)
+        if len({x % n for x in full}) == n:
+            l = from_window(n, full).length()
+            if l <= 3:
+                counts[l] += 1
+    assert counts == bott_level_sizes(n, 3)
+
+
+# Makes s_2 act as s_1 on the identity, so level 1 of the ball loses s_2.
+MERGED_GENERATOR = """
+import sys
+from affsym.group import AffinePermutation
+from affsym.cli import main
+real = AffinePermutation.times_simple
+def merged(self, i):
+    return real(self, 1 if self.is_identity() and i == 2 else i)
+AffinePermutation.times_simple = merged
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.fixture
+def merged_generator(monkeypatch):
+    real = AffinePermutation.times_simple
+    bruhat_ball.cache_clear()
+    monkeypatch.setattr(
+        AffinePermutation,
+        "times_simple",
+        lambda self, i: real(self, 1 if self.is_identity() and i == 2 else i),
+    )
+    yield
+    monkeypatch.undo()
+    bruhat_ball.cache_clear()
+
+
+def test_bruhat_ball_missing_element_raises(merged_generator):
+    with pytest.raises(EnumerationError, match="differ from Bott's formula"):
+        bruhat_ball(3, 2)
+
+
+def test_verify_missing_element_exits_1_under_optimize(child_env):
+    argv = ["verify", "-n", "3", "--max-length", "2", "bijection"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MERGED_GENERATOR, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "internal error: Bruhat ball level sizes [1, 2, 4] at n = 3 differ from "
+        "Bott's formula [1, 3, 6]\n"
+    )

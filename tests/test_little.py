@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import affsym.little as little_module
 from affsym.errors import (
     InvalidDecompositionError,
     MarkAbsentError,
@@ -10,6 +11,7 @@ from affsym.errors import (
     NotVMarkedError,
 )
 from affsym.group import (
+    Reflection,
     as_reflection,
     covers_above,
     elements_of_length,
@@ -44,15 +46,13 @@ from affsym.words import (
     Word,
     canonical_cd_word,
     cd_element,
+    count_reduced_words,
     evaluate,
     is_cyclically_decreasing,
     is_reduced,
     marked_index,
     parse_word,
-    partner_index,
     reduced_words,
-    reflection_sequence,
-    sequence_is_reduced,
 )
 
 FIG_V = evaluate(parse_word(5, "3410321042"))
@@ -334,6 +334,67 @@ def test_generalized_little_round_trip_and_counts(n):
                     assert set(images) == set(minus_decs)
 
 
+# ---------------------------------------------------------------------------
+# object-level oracles: the walks as they were before the integer kernel
+
+
+def _object_sequence(word):
+    """(y^-1(a_j), y^-1(a_j + 1)) per position, y the evaluated suffix."""
+    y_inv = identity(word.n)
+    out = []
+    for letter in reversed(word.letters):
+        out.append((y_inv(letter), y_inv(letter + 1)))
+        y_inv = y_inv.times_simple(letter)
+    return out[::-1]
+
+
+def _object_reduced(sequence):
+    return all(p < q for p, q in sequence)
+
+
+def _object_partner(word, sequence, i):
+    t = Reflection(word.n, *sequence[i - 1])
+    hits = [j for j, pair in enumerate(sequence, 1) if j != i and Reflection(word.n, *pair) == t]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _object_forward(m, _sequence):
+    word = m.word.replace(m.mark, (m.marked_letter - 1) % m.word.n)
+    sequence = _object_sequence(word)
+    mark = m.mark if _object_reduced(sequence) else _object_partner(word, sequence, m.mark)
+    return MarkedWord(word, mark), sequence
+
+
+def _object_backward(m, sequence):
+    k = m.mark if _object_reduced(sequence) else _object_partner(m.word, sequence, m.mark)
+    word = m.word.replace(k, (m.word[k - 1] + 1) % m.word.n)
+    return MarkedWord(word, k), _object_sequence(word)
+
+
+def _object_walk(v, m, step):
+    """The path of phi (step _object_forward) or phi_inverse (_object_backward)."""
+    sequence = _object_sequence(m.word)
+    path = []
+    for _ in range(v.n * len(m.word) * count_reduced_words(v) + 1):
+        m, sequence = step(m, sequence)
+        path.append(m)
+        if _object_reduced(sequence):
+            return path
+    raise AssertionError("oracle walk exceeded its cap")
+
+
+def _object_slide(ms, direction):
+    n, members = ms.subset.n, set(ms.subset.members)
+    i = ms.mark % n
+    run = 1
+    while run < n and (i + direction * run) % n in members:
+        run += 1
+    new_mark = (i + direction * run) % n
+    assert new_mark not in members
+    return MarkedSubset(CyclicSubset(n, tuple((members - {i}) | {new_mark})), new_mark)
+
+
 def _concat_word_oracle(n, factors):
     """The concatenated canonical factor words, and the (factor index,
     letter) at each of its positions."""
@@ -341,27 +402,30 @@ def _concat_word_oracle(n, factors):
     return Word(n, tuple(a for _, a in spots)), spots
 
 
-def _rebuilding_walk(v, factors, step):
+def _rebuilding_walk(v, factors, direction):
     """The factor walk as it was first written: after every step it rebuilds
     the concatenated word and a (factor, letter) table of its positions."""
     factors = list(factors)
     word, spots = _concat_word_oracle(v.n, factors)
-    f, letter = spots[marked_index(word, v) - 1]
+    t = as_reflection(v.inverse() * evaluate(word))
+    sequence = _object_sequence(word)
+    (start,) = [j for j, pair in enumerate(sequence, 1) if Reflection(v.n, *pair) == t]
+    f, letter = spots[start - 1]
     states = math.prod(math.comb(v.n, len(factor)) for factor in factors)
     for _ in range(states * max(1, len(word)) * v.n + 1):
-        moved = step(MarkedSubset(factors[f], letter))
+        moved = _object_slide(MarkedSubset(factors[f], letter), direction)
         factors[f] = moved.subset
         word, spots = _concat_word_oracle(v.n, factors)
-        sequence = reflection_sequence(word)
-        if sequence_is_reduced(sequence):
+        sequence = _object_sequence(word)
+        if _object_reduced(sequence):
             return tuple(factors)
-        g, letter = spots[partner_index(word, sequence, spots.index((f, moved.mark)) + 1) - 1]
+        g, letter = spots[_object_partner(word, sequence, spots.index((f, moved.mark)) + 1) - 1]
         assert g != f
         f = g
     raise AssertionError("oracle walk exceeded its cap")
 
 
-@pytest.mark.parametrize("n,max_length", [(2, 3), (3, 3), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n,max_length", [(2, 3), (3, 3), (4, 3), (5, 3)])
 def test_generalized_little_matches_rebuilding_oracle(n, max_length):
     for l in range(max_length + 1):
         for v in elements_of_length(n, l):
@@ -370,9 +434,39 @@ def test_generalized_little_matches_rebuilding_oracle(n, max_length):
                 for w, t in pairs:
                     for d in alpha_decompositions(w, alpha):
                         forward = generalized_little(v, t.a % n, d)
-                        assert forward.factors == _rebuilding_walk(v, d.factors, cd_cover_step)
+                        assert forward.factors == _rebuilding_walk(v, d.factors, -1)
                         back = inverse_generalized_little(v, t.b % n, d)
-                        assert back.factors == _rebuilding_walk(v, d.factors, cd_cover_step_back)
+                        assert back.factors == _rebuilding_walk(v, d.factors, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_slide_matches_object_oracle(n):
+    for k in range(1, n):
+        for members in itertools.combinations(range(n), k):
+            mask = sum(1 << i for i in members)
+            for mark in members:
+                ms = MarkedSubset(CyclicSubset(n, members), mark)
+                for direction, public in ((-1, cd_cover_step), (1, cd_cover_step_back)):
+                    expected = _object_slide(ms, direction)
+                    assert public(ms) == expected
+                    new_mask, new_mark = little_module._slide(n, mask, mark, direction)
+                    assert new_mark == expected.mark
+                    assert new_mask == sum(1 << i for i in expected.subset.members)
+
+
+@pytest.mark.parametrize("n,max_length", [(2, 3), (3, 3), (4, 3)])
+def test_word_walk_matches_object_oracle(n, max_length):
+    for l in range(max_length + 1):
+        for v in elements_of_length(n, l):
+            for m in v_marked_words(v):
+                sequence = _object_sequence(m.word)
+                assert forward_step(v, m) == _object_forward(m, sequence)[0]
+                assert backward_step(v, m) == _object_backward(m, sequence)[0]
+                if _object_reduced(sequence):
+                    out, path = phi(v, m)
+                    assert path == _object_walk(v, m, _object_forward) and out == path[-1]
+                    out, path = phi_inverse(v, m)
+                    assert path == _object_walk(v, m, _object_backward) and out == path[-1]
 
 
 def test_generalized_little_rejects_bad_cover():

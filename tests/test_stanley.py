@@ -37,7 +37,7 @@ from affsym.stanley import (
     partitions_bounded,
     stanley_table,
 )
-from affsym.words import cd_subset, evaluate, parse_word
+from affsym.words import CyclicSubset, cd_element, cd_subset, evaluate, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,37 @@ def test_alpha_decompositions_edge_cases():
     assert alpha_decompositions(from_window(3, [3, 2, 1]), (3,)) == []
     with pytest.raises(DegreeMismatchError):
         alpha_decompositions(simple(3, 0), (2,))
+
+
+def _object_descent(w, alpha):
+    """alpha_decompositions as first written: peel each factor off the left
+    by a window product, keeping it when the length drops by its size."""
+    out = []
+
+    def descend(rest, remaining, chosen):
+        if not remaining:
+            if rest.is_identity():
+                out.append(chosen)
+            return
+        target = rest.length() - remaining[0]
+        for members in itertools.combinations(range(w.n), remaining[0]):
+            tail = cd_element(CyclicSubset(w.n, members)).inverse() * rest
+            if tail.length() == target:
+                descend(tail, remaining[1:], chosen + (members,))
+
+    descend(w, tuple(alpha), ())
+    return out
+
+
+@pytest.mark.parametrize("n,max_length", [(2, 5), (3, 5), (4, 5), (5, 4)])
+def test_alpha_decompositions_match_object_descent(n, max_length):
+    for l in range(max_length + 1):
+        for w in elements_of_length(n, l):
+            for alpha in compositions_bounded(l, n - 1):
+                decs = alpha_decompositions(w, alpha)
+                members = [tuple(f.members for f in d.factors) for d in decs]
+                assert members == _object_descent(w, alpha)
+                assert all(d.product() == w for d in decs)
 
 
 def test_coefficient_examples():

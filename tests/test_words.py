@@ -13,6 +13,7 @@ from affsym.errors import (
     WordIsReducedError,
 )
 from affsym.group import (
+    Reflection,
     bruhat_leq,
     elements_of_length,
     from_window,
@@ -26,6 +27,7 @@ from affsym.words import (
     Word,
     canonical_cd_word,
     cd_element,
+    cd_letters,
     cd_subset,
     count_reduced_words,
     cyclically_decreasing_elements,
@@ -34,11 +36,16 @@ from affsym.words import (
     is_cyclically_decreasing,
     is_reduced,
     marked_index,
+    mask_members,
     maximal_cyclic_intervals,
     parse_word,
+    partner_index,
     reduced_words,
+    reflection_index,
     reflection_sequence,
     sequence_is_reduced,
+    subset_mask,
+    sweep,
 )
 
 
@@ -133,6 +140,31 @@ def test_is_reduced_examples():
     assert not is_reduced(parse_word(5, "34101321042"))
 
 
+def object_reflection_sequence(a):
+    """The sequence on AffinePermutation objects, one times_simple per letter."""
+    y_inv = identity(a.n)
+    out = []
+    for letter in reversed(a.letters):
+        out.append((y_inv(letter), y_inv(letter + 1)))
+        y_inv = y_inv.times_simple(letter)
+    return out[::-1]
+
+
+@given(reduced_word_inputs)
+def test_sweep_matches_object_sequence(pair):
+    n, letters = pair
+    expected = object_reflection_sequence(Word(n, tuple(letters)))
+    assert sweep(n, letters) == expected
+    for j, (p, q) in enumerate(expected, 1):
+        t = Reflection(n, p, q)
+        others = [i for i, pair in enumerate(expected, 1) if Reflection(n, *pair) == t]
+        assert affsym.words._positions(n, expected, t.a, t.b) == others
+        if others == [j]:
+            assert reflection_index(n, letters, expected, t) == j
+        if len(others) == 2:
+            assert partner_index(n, letters, expected, j) == sum(others) - j
+
+
 @given(reduced_word_inputs)
 def test_is_reduced_agrees_with_length(pair):
     n, letters = pair
@@ -213,8 +245,8 @@ def test_insertion_index_examples():
 
 def test_uniqueness_counts_raise_typed_errors(monkeypatch):
     # doubling the sequence makes every reflection occur twice as often
-    real = reflection_sequence
-    monkeypatch.setattr(affsym.words, "reflection_sequence", lambda a: real(a) * 2)
+    real = affsym.words.sweep
+    monkeypatch.setattr(affsym.words, "sweep", lambda n, letters: real(n, letters) * 2)
     v = evaluate(parse_word(5, "3410321042"))
     with pytest.raises(InvariantError, match="strong exchange uniqueness"):
         marked_index(parse_word(5, "34102321042"), v)
@@ -299,6 +331,15 @@ def test_canonical_cd_word_and_element():
     assert cd_element(CyclicSubset(4, (2,))) == simple(4, 2)
     with pytest.raises(FullSetError):
         CyclicSubset(3, (0, 1, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cd_letters_table_matches_canonical_cd_word(n):
+    for k in range(n):
+        for members in itertools.combinations(range(n), k):
+            mask = subset_mask(members)
+            assert mask_members(n, mask) == members
+            assert cd_letters(n, mask) == canonical_cd_word(CyclicSubset(n, members)).letters
 
 
 def test_cd_subset_round_trip():
