@@ -172,16 +172,23 @@ class Reflection:
             raise CongruentPairError(
                 f"t_({self.a},{self.b}) undefined: congruent mod {self.n}"
             )
-        a, b = sorted((self.a, self.b))
-        shift = (((a - 1) % self.n) + 1) - a
-        object.__setattr__(self, "a", a + shift)
-        object.__setattr__(self, "b", b + shift)
+        a, b = reflection_pair(self.n, self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def element(self) -> AffinePermutation:
         return transposition_element(self.n, self.a, self.b)
 
     def __str__(self) -> str:
         return f"t({self.a},{self.b})"
+
+
+def reflection_pair(n: int, p: int, q: int) -> tuple[int, int]:
+    """Reflection's normal form of t_{p,q} as an int pair (a, b): a < b,
+    shifted by a multiple of n until a lies in [1, n]."""
+    a, b = (p, q) if p < q else (q, p)
+    shift = (a - 1) % n + 1 - a
+    return a + shift, b + shift
 
 
 def as_reflection(w: AffinePermutation) -> Reflection | None:

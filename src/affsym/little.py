@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     CycleOverflowError,
@@ -43,7 +44,14 @@ from .errors import (
     NotRightRCoverError,
     NotVMarkedError,
 )
-from .group import AffinePermutation, Reflection, cover_reflection, identity, is_r_cover
+from .group import (
+    AffinePermutation,
+    Reflection,
+    cover_reflection,
+    identity,
+    is_r_cover,
+    reflection_pair,
+)
 from .words import (
     CyclicSubset,
     Word,
@@ -119,7 +127,7 @@ class PQPair:
         if (self.p - self.q) % self.n == 0:
             raise FormatError(f"degenerate pair ({self.p},{self.q}) mod {self.n}")
         # the shift that makes t_{p,q} canonical also fixes the pair
-        shift = Reflection(self.n, self.p, self.q).a - min(self.p, self.q)
+        shift = reflection_pair(self.n, self.p, self.q)[0] - min(self.p, self.q)
         object.__setattr__(self, "p", self.p + shift)
         object.__setattr__(self, "q", self.q + shift)
 
@@ -151,9 +159,22 @@ def _slide(n: int, mask: int, i: int, direction: int) -> tuple[int, int]:
     return mask ^ (1 << i) ^ (1 << j), j
 
 
-def _walk(n: int, masks: list[int], position: int, forward: bool, path=None, cap=None):
+@lru_cache(maxsize=None)
+def _layout(n: int, sizes: tuple[int, ...]):
+    """The fixed blocks of a walk whose factors have these sizes: the
+    start of each block, the factor owning each position, and the cap,
+    the number of states (masks, mark and letter) plus one."""
+    starts = tuple(itertools.accumulate(sizes, initial=0))
+    owner = tuple(f for f, size in enumerate(sizes) for _ in range(size))
+    cap = math.prod(math.comb(n, size) for size in sizes) * max(1, starts[-1]) * n + 1
+    return starts, owner, cap
+
+
+def _walk(
+    n: int, masks: list[int], word: list[int], position: int, forward: bool, path=None, cap=None
+):
     """Walk from the word of the factor masks, marked at the 1-based
-    position, to the next reduced word; masks change in place.
+    position, to the next reduced word; masks and word change in place.
 
     Factor f owns a fixed block of the word, as sizes never change.  A
     step slides the marked factor's run (down forward, up backward),
@@ -163,14 +184,9 @@ def _walk(n: int, masks: list[int], position: int, forward: bool, path=None, cap
     default the number of states).  path receives each vertex as
     (letters, mark): forward after the re-mark, backward before it.
     """
-    word = [a for mask in masks for a in cd_letters(n, mask)]
-    sizes = [mask.bit_count() for mask in masks]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    owner = [f for f, size in enumerate(sizes) for _ in range(size)]
-    if cap is None:
-        cap = math.prod(math.comb(n, size) for size in sizes) * max(1, len(word)) * n + 1
+    starts, owner, states = _layout(n, tuple(mask.bit_count() for mask in masks))
     direction = -1 if forward else 1
-    for _ in range(cap):
+    for _ in range(states if cap is None else cap):
         f = owner[position - 1]
         masks[f], mark = _slide(n, masks[f], word[position - 1], direction)
         block = cd_letters(n, masks[f])
@@ -189,21 +205,22 @@ def _walk(n: int, masks: list[int], position: int, forward: bool, path=None, cap
     return None
 
 
-def cover_walk(v: AffinePermutation, masks, t: Reflection, forward: bool):
-    """The kernel's entry point for a cover v * t given by factor masks.
+def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool):
+    """The kernel's entry point for a cover v * t_{a,b} given by factor
+    masks, with t = (a, b) in Reflection's normal form.
 
     Marks their word at the unique position of t (strong exchange) and
-    walks; returns the image's masks and the reflection t' at its mark,
+    walks; returns the image's masks and the normal pair t' at its mark,
     so that the image evaluates to v * t'.  Nothing else is checked: the
     callers hold covers by construction.
     """
     n, masks = v.n, list(masks)
     word = [a for mask in masks for a in cd_letters(n, mask)]
-    end = _walk(n, masks, reflection_index(n, word, sweep(n, word), t), forward)
+    end = _walk(n, masks, word, reflection_index(n, word, sweep(n, word), t), forward)
     if end is None:
         raise CycleOverflowError("generalized walk exceeded its cap")
     position, sequence = end
-    return tuple(masks), Reflection(n, *sequence[position - 1])
+    return tuple(masks), reflection_pair(n, *sequence[position - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +231,8 @@ def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, 
     """_walk with every letter of m its own factor: sliding {i} steps i
     to i -+ 1, so this is the walk on marked words.  Returns its end and
     its path as marked words."""
-    path = []
-    end = _walk(v.n, [1 << a for a in m.word.letters], mark, forward, path, cap)
+    path, letters = [], list(m.word.letters)
+    end = _walk(v.n, [1 << a for a in letters], letters, mark, forward, path, cap)
     return end, [MarkedWord(Word(v.n, letters), k) for letters, k in path]
 
 
@@ -268,12 +285,13 @@ def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[M
     return _marked_walk(v, m, False, "phi inverse")
 
 
-def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str) -> Reflection:
+def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str):
+    """The normal pair (a, b) of the cover reflection of w over v."""
     t = cover_reflection(v, w)
     if t is None or not is_r_cover(t, r, side):
         error = NotRightRCoverError if side == "right" else NotLeftRCoverError
         raise error(f"{list(w.window)} is not a {side} {r}-cover of {list(v.window)}")
-    return t
+    return t.a, t.b
 
 
 def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Word]:

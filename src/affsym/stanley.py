@@ -353,15 +353,25 @@ class ChevalleyReport:
 def check_chevalley(v: AffinePermutation, r: int) -> ChevalleyReport:
     """Compare s_1 times the table of v against the cover sum weighted by
     the Chevalley coefficients, on partitions with parts <= n-1."""
+    return chevalley_reports(v, [r])[0]
+
+
+def chevalley_reports(v: AffinePermutation, residues) -> list[ChevalleyReport]:
+    """check_chevalley at each residue, with the covers of v, s_1 times
+    its table and the table of each cover computed once."""
     left = multiply_by_s1(stanley_table(v))
-    right = CoefficientTable.zero(v.n, v.length() + 1)
-    terms = []
-    for w, t in covers_above(v):
-        c = residue_count(t, r)
-        if c:
-            terms.append((w, c))
-            right = right + stanley_table(w).scaled(c)
-    return ChevalleyReport(v, r, left, right, terms)
+    covers = [(w, t, stanley_table(w)) for w, t in covers_above(v)]
+    reports = []
+    for r in residues:
+        right = CoefficientTable.zero(v.n, v.length() + 1)
+        terms = []
+        for w, t, table in covers:
+            c = residue_count(t, r)
+            if c:
+                terms.append((w, c))
+                right = right + table.scaled(c)
+        reports.append(ChevalleyReport(v, r, left, right, terms))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the cover-sum identity are verified separately.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .group import (
@@ -22,7 +23,7 @@ from .group import (
 )
 from .little import MarkedWord, cover_walk, phi
 from .stanley import (
-    check_chevalley,
+    chevalley_reports,
     check_garsia_little,
     compositions_bounded,
     decomposition_masks,
@@ -62,15 +63,18 @@ def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
 
 
 def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    """The tables of v and of its covers are computed once per v and
+    shared by every residue r."""
     count, failures = 0, []
-    for v, r in _instances(n, max_length):
-        count += 1
-        report = check_chevalley(v, r)
-        if not report.equal:
-            failures.append(
-                f"degree-one product rule fails at v={format_window(v)} r={r}: "
-                f"left={report.left_table.entries} right={report.right_table.entries}"
-            )
+    for level in bruhat_ball(n, max_length):
+        for v in level:
+            for report in chevalley_reports(v, range(n)):
+                count += 1
+                if not report.equal:
+                    failures.append(
+                        f"degree-one product rule fails at v={format_window(v)} r={report.r}: "
+                        f"left={report.left_table.entries} right={report.right_table.entries}"
+                    )
     return count, failures
 
 
@@ -114,7 +118,8 @@ def _format_masks(n: int, masks) -> str:
 
 def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decompositions) -> list[str]:
     """decompositions[alpha][w] lists the alpha-decompositions of each
-    cover w as factor masks; an image is keyed by its cover reflection."""
+    cover w as factor masks; an image is keyed by the normal (a, b) pair
+    of its cover reflection."""
     failures = []
     for alpha, by_cover in decompositions.items():
         expected = {(t, d) for u, t in minus for d in by_cover[u]}
@@ -139,20 +144,22 @@ def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decomposition
 
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """Covers and their alpha-decompositions are computed once per v and
-    shared by every residue r; every walk starts from the reflection of
-    its cover."""
+    """Covers are computed once per v and shared by every residue r; the
+    alpha-decompositions of a cover once per level, as a w covers several
+    v, in a store dropped with its level.  Every walk starts from the
+    (a, b) pair of its cover's reflection."""
     count, failures = 0, []
     for level in bruhat_ball(n, max_length):
+        store = functools.cache(decomposition_masks)
         for v in level:
             pairs = covers_above(v)
             decompositions = {
-                alpha: {w: decomposition_masks(w, alpha) for w, _ in pairs}
+                alpha: {w: store(w, alpha) for w, _ in pairs}
                 for alpha in compositions_bounded(v.length() + 1, n - 1)
             }
             for r in range(n):
-                plus = [(w, t) for w, t in pairs if is_r_cover(t, r, "right")]
-                minus = [(w, t) for w, t in pairs if is_r_cover(t, r, "left")]
+                plus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "right")]
+                minus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "left")]
                 count += 1
                 failures.extend(_word_level_check(v, r, plus, minus))
                 failures.extend(_factor_level_check(v, r, plus, minus, decompositions))

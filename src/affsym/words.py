@@ -33,7 +33,7 @@ from .errors import (
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, Reflection, canonical_reduced_word, cover_reflection, identity
+from .group import AffinePermutation, canonical_reduced_word, cover_reflection, identity
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,10 @@ def partner_index(n: int, letters, sequence, i: int) -> int:
     return hits[0]
 
 
-def reflection_index(n: int, letters, sequence, t: Reflection) -> int:
-    """The unique 1-based j with reflection t in the sequence of the letters
-    (strong exchange)."""
-    hits = _positions(n, sequence, t.a, t.b)
+def reflection_index(n: int, letters, sequence, t: tuple[int, int]) -> int:
+    """The unique 1-based j with the reflection of the pair t = (a, b) in
+    the sequence of the letters (strong exchange)."""
+    hits = _positions(n, sequence, *t)
     if len(hits) != 1:
         raise InvariantError(f"strong exchange uniqueness failed for {format_letters(n, letters)}")
     return hits[0]
@@ -208,7 +208,7 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    return reflection_index(a.n, a.letters, sequence, t)
+    return reflection_index(a.n, a.letters, sequence, (t.a, t.b))
 
 
 def insertion_index(a: Word, i: int) -> int:

@@ -10,10 +10,12 @@ import affsym.words
 from affsym.cli import main
 
 FIGURE_LITTLE = ("little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "5")
+SMALL_BIJECTION = ("verify", "-n", "3", "--max-length", "2", "bijection")
 
 # Doubles every reflection sequence the kernel sweeps, so the mark's
-# reflection occurs twice as often and the unique-insertion count of the
-# walk's first re-mark fails.
+# reflection occurs twice as often and the first uniqueness count the
+# command reaches fails: the unique insertion of the first re-mark for
+# `little`, the strong exchange at the factor walk's entry for `verify`.
 DOUBLED_SEQUENCE = """
 import sys
 import affsym.little, affsym.words
@@ -149,6 +151,27 @@ def test_little_uniqueness_failure_exits_1_under_optimize(child_env):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("internal error: insertion uniqueness failed")
+
+
+def test_bijection_uniqueness_failure_exits_1(capsys, monkeypatch):
+    # the factor walk's first strong-exchange lookup sees t twice
+    real = affsym.words.sweep
+    for module in (affsym.words, affsym.little):
+        monkeypatch.setattr(module, "sweep", lambda n, letters: real(n, letters) * 2)
+    code, out, err = run_cli(capsys, *SMALL_BIJECTION)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: strong exchange uniqueness failed")
+
+
+def test_bijection_uniqueness_failure_exits_1_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DOUBLED_SEQUENCE, *SMALL_BIJECTION],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal error: strong exchange uniqueness failed")
 
 
 def test_little_json(capsys):

@@ -13,6 +13,7 @@ from affsym.errors import (
 from affsym.group import (
     Reflection,
     as_reflection,
+    cover_reflection,
     covers_above,
     elements_of_length,
     from_window,
@@ -53,6 +54,7 @@ from affsym.words import (
     marked_index,
     parse_word,
     reduced_words,
+    subset_mask,
 )
 
 FIG_V = evaluate(parse_word(5, "3410321042"))
@@ -437,6 +439,37 @@ def test_generalized_little_matches_rebuilding_oracle(n, max_length):
                         assert forward.factors == _rebuilding_walk(v, d.factors, -1)
                         back = inverse_generalized_little(v, t.b % n, d)
                         assert back.factors == _rebuilding_walk(v, d.factors, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cover_walk_on_pairs_matches_public_walks(n):
+    # entered on the normal (a, b) pair of each cover, both ways
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            for w, t in covers_above(v):
+                for alpha in compositions_bounded(l + 1, n - 1):
+                    for d in alpha_decompositions(w, alpha):
+                        masks = tuple(subset_mask(f.members) for f in d.factors)
+                        for forward, public, r in (
+                            (True, generalized_little, t.a % n),
+                            (False, inverse_generalized_little, t.b % n),
+                        ):
+                            image = public(v, r, d)
+                            out, t_out = little_module.cover_walk(v, masks, (t.a, t.b), forward)
+                            assert out == tuple(subset_mask(f.members) for f in image.factors)
+                            expected = cover_reflection(v, image.product())
+                            assert t_out == (expected.a, expected.b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_layout_matches_per_walk_formulas(n):
+    # every length profile of total at most 8, letter walks included
+    for total in range(9):
+        for sizes in compositions_bounded(total, n - 1):
+            starts, owner, cap = little_module._layout(n, sizes)
+            assert list(starts) == list(itertools.accumulate(sizes, initial=0))
+            assert list(owner) == [f for f, size in enumerate(sizes) for _ in range(size)]
+            assert cap == math.prod(math.comb(n, size) for size in sizes) * max(1, total) * n + 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

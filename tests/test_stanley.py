@@ -14,11 +14,15 @@ from affsym.errors import (
     SymmetryViolationError,
 )
 from affsym.group import (
+    bott_level_sizes,
+    bruhat_ball,
+    covers_above,
     elements_of_length,
     from_window,
     grassmannian_to_partition,
     identity,
     is_grassmannian,
+    residue_count,
     simple,
 )
 from affsym.stanley import (
@@ -28,6 +32,7 @@ from affsym.stanley import (
     check_chevalley,
     check_garsia_little,
     chevalley_coefficient,
+    chevalley_reports,
     classical_element,
     coefficient,
     compositions_bounded,
@@ -37,6 +42,7 @@ from affsym.stanley import (
     partitions_bounded,
     stanley_table,
 )
+from affsym.verify import chevalley_sweep
 from affsym.words import CyclicSubset, cd_element, cd_subset, evaluate, parse_word
 
 
@@ -274,6 +280,37 @@ def test_chevalley_example_6():
     ]
 
 
+def _per_residue_chevalley(v, r):
+    """Both sides of the product rule at (v, r) as check_chevalley first
+    computed them: covers and tables recomputed for every residue."""
+    right, terms = CoefficientTable.zero(v.n, v.length() + 1), []
+    for w, t in covers_above(v):
+        c = residue_count(t, r)
+        if c:
+            terms.append((w, c))
+            right = right + stanley_table(w).scaled(c)
+    return multiply_by_s1(stanley_table(v)), right, terms
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chevalley_reports_match_per_residue_oracle(n):
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            reports = chevalley_reports(v, range(n))
+            assert [report.r for report in reports] == list(range(n))
+            for report in reports:
+                expected = _per_residue_chevalley(v, report.r)
+                assert (report.left_table, report.right_table, report.terms) == expected
+
+
+def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
+    calls = []
+    real = stanley_module.covers_above
+    monkeypatch.setattr(stanley_module, "covers_above", lambda v: calls.append(v) or real(v))
+    assert chevalley_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    assert calls == [v for level in bruhat_ball(4, 3) for v in level]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chevalley_identity_base(n):
     for r in range(n):
@@ -287,7 +324,7 @@ def test_chevalley_identity_base(n):
 def test_chevalley_difference_gives_cover_sum_identity(n):
     # the right sides of the rules at r and r+1 differ by the signed
     # cover-sum identity at residue r+1
-    from affsym.group import covers_above, left_r_covers, right_r_covers
+    from affsym.group import left_r_covers, right_r_covers
 
     for l in range(4):
         for v in elements_of_length(n, l):

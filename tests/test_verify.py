@@ -1,7 +1,18 @@
+import collections
 import random
+import re
+from pathlib import Path
 
-from affsym.verify import _random_reduced_word
+import affsym.verify
+from affsym.group import bott_level_sizes, bruhat_ball, covers_above
+from affsym.stanley import compositions_bounded
+from affsym.verify import _random_reduced_word, bijection_sweep
 from affsym.words import Word, is_reduced
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The instance count of each sweep suite at the verified frontier points.
+FRONTIER = {(5, 5): 1255, (5, 6): 2280, (6, 5): 2772}
 
 
 def _random_reduced_word_by_extension(rng, n):
@@ -23,3 +34,39 @@ def test_random_reduced_word_matches_extension_test():
                 assert word == _random_reduced_word_by_extension(slow, n)
                 assert is_reduced(word)
             assert fast.getstate() == slow.getstate()
+
+
+def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
+    calls = collections.Counter()
+    real = affsym.verify.decomposition_masks
+
+    def counting(w, alpha):
+        calls[w, alpha] += 1
+        return real(w, alpha)
+
+    monkeypatch.setattr(affsym.verify, "decomposition_masks", counting)
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    assert set(calls.values()) == {1}
+    assert set(calls) == {
+        (w, alpha)
+        for level in bruhat_ball(4, 3)
+        for v in level
+        for w, _ in covers_above(v)
+        for alpha in compositions_bounded(v.length() + 1, 3)
+    }
+
+
+def test_frontier_instance_counts_follow_bott():
+    # each sweep suite checks n instances per element of length <= L
+    for (n, max_length), count in FRONTIER.items():
+        assert count == n * sum(bott_level_sizes(n, max_length))
+    rows = re.findall(
+        r"^\| `affsym verify -n (\d+) --max-length (\d+) (bijection|all)` \| ([\d,]+) \|",
+        README.read_text(),
+        re.MULTILINE,
+    )
+    assert sorted((int(n), int(l), suite) for n, l, suite, _ in rows) == sorted(
+        (n, l, suite) for n, l in FRONTIER for suite in ("all", "bijection")
+    )
+    for n, max_length, _, count in rows:
+        assert int(count.replace(",", "")) == FRONTIER[int(n), int(max_length)]

@@ -160,7 +160,7 @@ def test_sweep_matches_object_sequence(pair):
         others = [i for i, pair in enumerate(expected, 1) if Reflection(n, *pair) == t]
         assert affsym.words._positions(n, expected, t.a, t.b) == others
         if others == [j]:
-            assert reflection_index(n, letters, expected, t) == j
+            assert reflection_index(n, letters, expected, (t.a, t.b)) == j
         if len(others) == 2:
             assert partner_index(n, letters, expected, j) == sum(others) - j
 
