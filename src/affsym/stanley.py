@@ -12,6 +12,10 @@ verified at runtime, once per (n, degree), never assumed; by
 associativity it implies rearrangement invariance for every
 composition, so tables count partitions only.
 
+One factor table (_cd_masks) and one peel on the window of w^-1 serve
+counting and enumeration; only the certificate multiplies elements, so
+it shares no arithmetic with the counts it guards.
+
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
 in exact integer/rational arithmetic; no floating point anywhere.  The
@@ -77,17 +81,6 @@ def partitions_bounded(total: int, max_part: int) -> list[Partition]:
     return sorted(gen(total, max_part))
 
 
-@lru_cache(maxsize=None)
-def _cd_factors(n: int, size: int) -> tuple:
-    """(members, element, inverse) for every proper subset of that size."""
-    out = []
-    if size <= n - 1:
-        for members in itertools.combinations(range(n), size):
-            element = cd_element(CyclicSubset(n, members))
-            out.append((members, element, element.inverse()))
-    return tuple(out)
-
-
 def _composition_of_length(w: AffinePermutation, alpha) -> tuple[int, ...]:
     """alpha as a tuple, checked to be a composition of l(w)."""
     alpha = tuple(alpha)
@@ -110,12 +103,15 @@ def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition
 
 @lru_cache(maxsize=None)
 def _cd_masks(n: int, size: int) -> tuple:
-    """(mask, canonical letters) for each factor of _cd_factors, in its order."""
-    masks = (subset_mask(members) for members, _, _ in _cd_factors(n, size))
+    """(mask, canonical letters) of each proper subset of Z/nZ of that
+    size, in lexicographic order of members; () when size >= n."""
+    if size >= n:
+        return ()
+    masks = (subset_mask(members) for members in itertools.combinations(range(n), size))
     return tuple((mask, cd_letters(n, mask)) for mask in masks)
 
 
-def _peel(n: int, u: list[int], letters) -> list[int] | None:
+def _peel(n: int, u: tuple[int, ...], letters) -> tuple[int, ...] | None:
     """u * s_{a_1} ... s_{a_k} if each letter is a right descent as it is
     applied, else None.  For u = w^-1 and the letters of w(A) that is the
     inverse of w(A)^-1 w exactly when l(w(A)^-1 w) = l(w) - |A|."""
@@ -129,7 +125,7 @@ def _peel(n: int, u: list[int], letters) -> list[int] | None:
             if u[-1] - n < u[0]:
                 return None
             u[0], u[-1] = u[-1] - n, u[0] + n
-    return u
+    return tuple(u)
 
 
 def decomposition_masks(w: AffinePermutation, alpha: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -139,7 +135,7 @@ def decomposition_masks(w: AffinePermutation, alpha: tuple[int, ...]) -> list[tu
     Peels the factors off the left of w, letter by letter, on the window
     of w^-1."""
     n, out = w.n, []
-    identity_window = list(range(1, n + 1))
+    identity_window = tuple(range(1, n + 1))
 
     def descend(u, remaining, chosen):
         if not remaining:
@@ -151,28 +147,26 @@ def decomposition_masks(w: AffinePermutation, alpha: tuple[int, ...]) -> list[tu
             if tail is not None:
                 descend(tail, remaining[1:], chosen + (mask,))
 
-    descend(list(w.inverse().window), alpha, ())
+    descend(w.inverse().window, alpha, ())
     return out
 
 
 @lru_cache(maxsize=None)
-def _coefficient(w: AffinePermutation, alpha: tuple[int, ...]) -> int:
+def _coefficient(n: int, u: tuple[int, ...], alpha: tuple[int, ...]) -> int:
+    """The count of decomposition_masks for the element with inverse window u."""
     if not alpha:
-        return 1 if w.is_identity() else 0
-    # peel the rightmost factor
-    last = alpha[-1]
-    target = w.length() - last
+        return int(u == tuple(range(1, n + 1)))
     total = 0
-    for _, element, inverse in _cd_factors(w.n, last):
-        head = w * inverse
-        if head.length() == target:
-            total += _coefficient(head, alpha[:-1])
+    for _, letters in _cd_masks(n, alpha[0]):
+        tail = _peel(n, u, letters)
+        if tail is not None:
+            total += _coefficient(n, tail, alpha[1:])
     return total
 
 
 def coefficient(w: AffinePermutation, alpha) -> int:
     """Number of alpha-decompositions of w, without materializing them."""
-    return _coefficient(w, _composition_of_length(w, alpha))
+    return _coefficient(w.n, w.inverse().window, _composition_of_length(w, alpha))
 
 
 @dataclass
@@ -244,10 +238,13 @@ def _commutation_certificate(n: int, degree: int) -> None:
     degree `degree` invariant under rearranging its composition.
     """
 
+    elements = [
+        [cd_element(CyclicSubset(n, mask_members(n, m))) for m, _ in _cd_masks(n, size)]
+        for size in range(n)
+    ]
+
     def product(i: int, j: int) -> Counter:
-        products = (
-            left * right for _, left, _ in _cd_factors(n, i) for _, right, _ in _cd_factors(n, j)
-        )
+        products = (left * right for left in elements[i] for right in elements[j])
         return Counter(p for p in products if p.length() == i + j)
 
     for i in range(1, n):
@@ -268,13 +265,13 @@ def stanley_table(w: AffinePermutation) -> CoefficientTable:
     """
     degree = w.length()
     _commutation_certificate(w.n, degree)
-    # counted at the ascending rearrangement, so the largest part is
-    # peeled first: `expand -n 5 [-1,-2,1,10,7]` then evaluates
-    # _coefficient 1511 times instead of 3810
+    # counted at the partition key, so the largest part is peeled first:
+    # the table of [-1,-2,1,10,7] at n = 5 misses _coefficient 162 times, not 363
+    u = w.inverse().window
     return CoefficientTable(
         w.n,
         degree,
-        {key: _coefficient(w, key[::-1]) for key in partitions_bounded(degree, w.n - 1)},
+        {key: _coefficient(w.n, u, key) for key in partitions_bounded(degree, w.n - 1)},
     )
 
 

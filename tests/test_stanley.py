@@ -1,5 +1,9 @@
+import collections
+import functools
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +18,7 @@ from affsym.errors import (
     SymmetryViolationError,
 )
 from affsym.group import (
+    AffinePermutation,
     bott_level_sizes,
     bruhat_ball,
     covers_above,
@@ -121,6 +126,48 @@ def test_single_part_coefficient_detects_cyclically_decreasing(n):
             assert coefficient(w, (l,)) == expected
 
 
+@functools.cache
+def _object_coefficient(w, alpha):
+    """coefficient as first written: peel the rightmost factor off w by a
+    window product with its inverse, keeping it when the length drops by
+    its size."""
+    if not alpha:
+        return 1 if w.is_identity() else 0
+    target = w.length() - alpha[-1]
+    total = 0
+    for members in itertools.combinations(range(w.n), alpha[-1]):
+        head = w * cd_element(CyclicSubset(w.n, members)).inverse()
+        if head.length() == target:
+            total += _object_coefficient(head, alpha[:-1])
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_coefficient_matches_object_right_peel(n):
+    for l in range(7):
+        for w in elements_of_length(n, l):
+            for alpha in compositions_bounded(l, n - 1):
+                assert coefficient(w, alpha) == _object_coefficient(w, alpha)
+
+
+def test_coefficient_matches_object_right_peel_sampled():
+    for w in _sample(5, 10, 8, seed=5):
+        for alpha in compositions_bounded(10, 4):
+            assert coefficient(w, alpha) == _object_coefficient(w, alpha)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parts_of_size_at_least_n_count_nothing(n):
+    # no cyclically decreasing factor has n letters: such parts give 0
+    # and no decomposition, not a FullSetError
+    for l in (n, n + 1):
+        for w in elements_of_length(n, l):
+            for alpha in compositions_bounded(l, l):
+                if max(alpha) >= n:
+                    assert coefficient(w, alpha) == 0
+                    assert alpha_decompositions(w, alpha) == []
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_coefficient_counts_match_enumeration(n):
     for l in range(4):
@@ -179,19 +226,34 @@ def test_stanley_table_matches_composition_oracle_sampled():
         assert stanley_table(w) == _stanley_table_by_compositions(w)
 
 
+# Drops the first size-1 factor from the one factor table, so the counts
+# and the certificate both see h_1 without it.
+DROPPED_FACTOR = """
+import sys
+import affsym.stanley as stanley
+from affsym.cli import main
+real = stanley._cd_masks
+stanley._cd_masks = lambda n, size: real(n, size)[1:] if size == 1 else real(n, size)
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+sys.exit(main(sys.argv[1:]))
+"""
+TABLE_WITH_DROPPED_FACTOR = ("stanley-table", "-n", "4", "[-1,4,1,6]")
+
+
 @pytest.fixture
 def dropped_factor(monkeypatch):
-    """`_cd_factors` without its first size-1 factor, on cold caches."""
-    real = stanley_module._cd_factors
+    """`_cd_masks` without its first size-1 factor, on cold caches."""
+    real = stanley_module._cd_masks
 
     def faulty(n, size):
         factors = real(n, size)
         return factors[1:] if size == 1 else factors
 
-    memos = (stanley_module._coefficient, stanley_module._commutation_certificate)
+    memos = (real, stanley_module._coefficient, stanley_module._commutation_certificate)
     for memo in memos:
         memo.cache_clear()
-    monkeypatch.setattr(stanley_module, "_cd_factors", faulty)
+    monkeypatch.setattr(stanley_module, "_cd_masks", faulty)
     yield
     monkeypatch.undo()
     for memo in memos:
@@ -204,10 +266,44 @@ def test_commutation_certificate_catches_dropped_factor(dropped_factor):
 
 
 def test_stanley_table_cli_exits_1_on_dropped_factor(dropped_factor, capsys):
-    assert main(["stanley-table", "-n", "4", "[-1,4,1,6]"]) == 1
+    assert main(list(TABLE_WITH_DROPPED_FACTOR)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def test_stanley_table_cli_exits_1_on_dropped_factor_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_FACTOR, *TABLE_WITH_DROPPED_FACTOR],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("internal error:")
+
+
+def test_warm_stanley_table_works_on_windows(monkeypatch):
+    # with the certificate warm, a table multiplies no elements and
+    # computes a bounded number of lengths, however many keys it counts
+    elements = _sample(5, 10, 4, seed=3)
+    stanley_module._commutation_certificate(5, 10)
+    stanley_module._coefficient.cache_clear()
+    calls = collections.Counter()
+    for name in ("__mul__", "length"):
+        real = getattr(AffinePermutation, name)
+
+        def counting(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(AffinePermutation, name, counting)
+    for w in elements:
+        calls.clear()
+        stanley_table(w)
+        assert calls["__mul__"] == 0
+        assert calls["length"] <= 1
+    assert stanley_module._coefficient.cache_info().misses > len(elements)
 
 
 def test_table_arithmetic():

@@ -12,7 +12,7 @@ from affsym.words import Word, is_reduced
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The instance count of each sweep suite at the verified frontier points.
-FRONTIER = {(5, 5): 1255, (5, 6): 2280, (6, 5): 2772}
+FRONTIER = {(5, 5): 1255, (5, 6): 2280, (6, 5): 2772, (7, 5): 5544, (6, 6): 5538}
 
 
 def _random_reduced_word_by_extension(rng, n):
