@@ -19,8 +19,12 @@ owns a fixed block of positions, and a step rewrites only that block.
 Both walks run on one integer kernel, `_walk`: factors are n-bit masks
 and the word is a list of ints.  A marked word is the tuple of its
 letters as one-letter factors, since sliding {i} down by one is
-decrementing i.  The public functions validate their input once, at
-entry; `cover_walk` serves callers that hold covers by construction.
+decrementing i.  A step reads the word's `word_record` (sequence,
+reducedness, positions per reflection) from a table its caller owns,
+`functools.cache(word_record)`: each public function makes a fresh one
+per call, and the bijection sweep shares one among all walks over one v.
+The public functions validate their input once, at entry; `cover_walk`
+serves callers that hold covers by construction.
 
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
@@ -28,10 +32,10 @@ it, since one word can be marked for different v.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     CycleOverflowError,
@@ -64,9 +68,9 @@ from .words import (
     partner_index,
     reduced_words,
     reflection_index,
-    sequence_is_reduced,
     subset_mask,
     sweep,
+    word_record,
 )
 
 
@@ -159,7 +163,7 @@ def _slide(n: int, mask: int, i: int, direction: int) -> tuple[int, int]:
     return mask ^ (1 << i) ^ (1 << j), j
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _layout(n: int, sizes: tuple[int, ...]):
     """The fixed blocks of a walk whose factors have these sizes: the
     start of each block, the factor owning each position, and the cap,
@@ -171,7 +175,14 @@ def _layout(n: int, sizes: tuple[int, ...]):
 
 
 def _walk(
-    n: int, masks: list[int], word: list[int], position: int, forward: bool, path=None, cap=None
+    n: int,
+    masks: list[int],
+    word: list[int],
+    position: int,
+    forward: bool,
+    table,
+    path=None,
+    cap=None,
 ):
     """Walk from the word of the factor masks, marked at the 1-based
     position, to the next reduced word; masks and word change in place.
@@ -179,7 +190,9 @@ def _walk(
     Factor f owns a fixed block of the word, as sizes never change.  A
     step slides the marked factor's run (down forward, up backward),
     rewrites its block and, unless the word is reduced, re-marks at the
-    other position with the moved letter's reflection.  Returns the last
+    other position with the moved letter's reflection.  table(n, letters)
+    gives the word_record of each word, so that a caller can share it
+    between walks (functools.cache(word_record)).  Returns the last
     moved position and the final sequence, or None after cap steps (by
     default the number of states).  path receives each vertex as
     (letters, mark): forward after the re-mark, backward before it.
@@ -191,32 +204,36 @@ def _walk(
         masks[f], mark = _slide(n, masks[f], word[position - 1], direction)
         block = cd_letters(n, masks[f])
         word[starts[f] : starts[f + 1]] = block
-        sequence = sweep(n, word)
+        letters = tuple(word)
+        record = table(n, letters)
         moved = starts[f] + block.index(mark) + 1
-        if sequence_is_reduced(sequence):
+        if record.reduced:
             if path is not None:
-                path.append((tuple(word), moved))
-            return moved, sequence
-        position = partner_index(n, word, sequence, moved)
+                path.append((letters, moved))
+            return moved, record.sequence
+        position = partner_index(n, letters, record, moved)
         if owner[position - 1] == f:
             raise InvariantError("re-mark landed in the moved factor")
         if path is not None:
-            path.append((tuple(word), position if forward else moved))
+            path.append((letters, position if forward else moved))
     return None
 
 
-def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool):
+def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool, table):
     """The kernel's entry point for a cover v * t_{a,b} given by factor
     masks, with t = (a, b) in Reflection's normal form.
 
     Marks their word at the unique position of t (strong exchange) and
-    walks; returns the image's masks and the normal pair t' at its mark,
-    so that the image evaluates to v * t'.  Nothing else is checked: the
-    callers hold covers by construction.
+    walks, reading records from table as _walk does; returns the image's
+    masks and the normal pair t' at its mark, so that the image
+    evaluates to v * t'.  Nothing else is checked: the callers hold
+    covers by construction.
     """
     n, masks = v.n, list(masks)
     word = [a for mask in masks for a in cd_letters(n, mask)]
-    end = _walk(n, masks, word, reflection_index(n, word, sweep(n, word), t), forward)
+    letters = tuple(word)
+    position = reflection_index(n, letters, table(n, letters), t)
+    end = _walk(n, masks, word, position, forward, table)
     if end is None:
         raise CycleOverflowError("generalized walk exceeded its cap")
     position, sequence = end
@@ -227,12 +244,12 @@ def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool):
 # The affine Little graph
 
 
-def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, cap=None):
+def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, table, cap=None):
     """_walk with every letter of m its own factor: sliding {i} steps i
     to i -+ 1, so this is the walk on marked words.  Returns its end and
     its path as marked words."""
     path, letters = [], list(m.word.letters)
-    end = _walk(v.n, [1 << a for a in letters], letters, mark, forward, path, cap)
+    end = _walk(v.n, [1 << a for a in letters], letters, mark, forward, table, path, cap)
     return end, [MarkedWord(Word(v.n, letters), k) for letters, k in path]
 
 
@@ -243,16 +260,16 @@ def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     to the unique other position whose deletion is a reduced word for v.
     """
     _require_v_marked(v, m)
-    return _letter_walk(v, m, m.mark, True, cap=1)[1][0]
+    return _letter_walk(v, m, m.mark, True, word_record, cap=1)[1][0]
 
 
 def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     """The unique in-edge: re-mark first, then increment that letter mod n."""
     _require_v_marked(v, m)
     n, letters = v.n, m.word.letters
-    sequence = sweep(n, letters)
-    k = m.mark if sequence_is_reduced(sequence) else partner_index(n, letters, sequence, m.mark)
-    return _letter_walk(v, m, k, False, cap=1)[1][0]
+    record = word_record(n, letters)
+    k = m.mark if record.reduced else partner_index(n, letters, record, m.mark)
+    return _letter_walk(v, m, k, False, word_record, cap=1)[1][0]
 
 
 def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str):
@@ -263,7 +280,7 @@ def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str):
     _require_v_marked(v, m)
     if not is_reduced(m.word):
         raise NotReducedError(f"{m} is not a reduced marked word")
-    end, path = _letter_walk(v, m, m.mark, forward)
+    end, path = _letter_walk(v, m, m.mark, forward, functools.cache(word_record))
     if end is None:
         raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
     return path[-1], path
@@ -304,7 +321,7 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     if not is_reduced(a):
         raise NotReducedError(f"word {a} is not reduced")
     t = _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, sweep(a.n, a.letters), t)))
+    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, word_record(a.n, a.letters), t)))
     return evaluate(out.word), out.word
 
 
@@ -405,7 +422,8 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     t = _require_r_cover(v, r, d.product(), side)
-    masks, _ = cover_walk(v, [subset_mask(f.members) for f in d.factors], t, side == "right")
+    masks = [subset_mask(f.members) for f in d.factors]
+    masks, _ = cover_walk(v, masks, t, side == "right", functools.cache(word_record))
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:
         raise InvariantError(f"length profile changed from {d} to {out}")

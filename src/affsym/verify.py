@@ -5,7 +5,9 @@ order, and returns the instance count plus a list of human-readable
 failure descriptions.  The identity sweeps count factorizations only;
 the bijection sweep exercises the word-level and factor-level maps and
 cross-checks them against independent enumeration, so the two routes to
-the cover-sum identity are verified separately.
+the cover-sum identity are verified separately.  Its walks over one v
+and the path invariants read each word's reflection record from one
+table, built on first use and dropped when v is done.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .stanley import (
 )
 from .words import (
     Word,
+    _reduced_words,
     evaluate,
     format_letters,
     insertion_index,
@@ -38,7 +41,7 @@ from .words import (
     mask_members,
     reduced_words,
     reflection_index,
-    sweep,
+    word_record,
 )
 
 
@@ -78,18 +81,19 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return count, failures
 
 
-def _word_level_check(v: AffinePermutation, r: int, plus, minus) -> list[str]:
+def _word_level_check(v: AffinePermutation, r: int, plus, minus, table) -> list[str]:
     """Each reduced word of a right r-cover w = v * t is marked at t's
     position and walked by phi.  Words stand for their elements: distinct
-    elements have disjoint sets of reduced words."""
+    elements have disjoint sets of reduced words.  The mark and the (p, q)
+    pair of each path vertex are read from the records in table."""
     n = v.n
     failures = []
-    expected = {a.letters for u, _ in minus for a in reduced_words(u)}
+    expected = {letters for u, _ in minus for letters in _reduced_words(u)}
     images = []
     for w, t in plus:
         for a in reduced_words(w):
-            sequence = sweep(n, a.letters)
-            m = MarkedWord(a, reflection_index(n, a.letters, sequence, t))
+            record = table(n, a.letters)
+            m = MarkedWord(a, reflection_index(n, a.letters, record, t))
             out, path = phi(v, m)
             c = out.word
             if c.letters not in expected:
@@ -99,7 +103,8 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus) -> list[str]:
                 )
             images.append(c.letters)
             # the (p, q) pair at each vertex's mark, as pq reads it
-            pairs = [sequence[m.mark - 1]] + [sweep(n, x.word.letters)[x.mark - 1] for x in path]
+            pairs = [record.sequence[m.mark - 1]]
+            pairs += [table(n, x.word.letters).sequence[x.mark - 1] for x in path]
             for vertex, (p, _) in zip([m] + path[:-1], pairs):
                 if (p - r) % n != 0:
                     failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
@@ -116,22 +121,24 @@ def _format_masks(n: int, masks) -> str:
     return "/".join(format_letters(n, mask_members(n, mask)) for mask in masks)
 
 
-def _factor_level_check(v: AffinePermutation, r: int, plus, minus, decompositions) -> list[str]:
+def _factor_level_check(
+    v: AffinePermutation, r: int, plus, minus, decompositions, table
+) -> list[str]:
     """decompositions[alpha][w] lists the alpha-decompositions of each
     cover w as factor masks; an image is keyed by the normal (a, b) pair
-    of its cover reflection."""
+    of its cover reflection.  The walks there and back read table."""
     failures = []
     for alpha, by_cover in decompositions.items():
         expected = {(t, d) for u, t in minus for d in by_cover[u]}
         images = []
         for w, t in plus:
             for d in by_cover[w]:
-                out, t_out = cover_walk(v, d, t, True)
+                out, t_out = cover_walk(v, d, t, True, table)
                 if tuple(mask.bit_count() for mask in out) != alpha:
                     failures.append(
                         f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
                     )
-                if cover_walk(v, out, t_out, False)[0] != d:
+                if cover_walk(v, out, t_out, False, table)[0] != d:
                     failures.append(
                         f"round trip fails at {_format_masks(v.n, d)} over {format_window(v)} r={r}"
                     )
@@ -147,12 +154,14 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     """Covers are computed once per v and shared by every residue r; the
     alpha-decompositions of a cover once per level, as a w covers several
     v, in a store dropped with its level.  Every walk starts from the
-    (a, b) pair of its cover's reflection."""
+    (a, b) pair of its cover's reflection.  The word_record of each word
+    the checks of one v read is built once, in a table dropped with v."""
     count, failures = 0, []
     for level in bruhat_ball(n, max_length):
         store = functools.cache(decomposition_masks)
         for v in level:
             pairs = covers_above(v)
+            table = functools.cache(word_record)
             decompositions = {
                 alpha: {w: store(w, alpha) for w, _ in pairs}
                 for alpha in compositions_bounded(v.length() + 1, n - 1)
@@ -161,8 +170,8 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
                 plus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "right")]
                 minus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "left")]
                 count += 1
-                failures.extend(_word_level_check(v, r, plus, minus))
-                failures.extend(_factor_level_check(v, r, plus, minus, decompositions))
+                failures.extend(_word_level_check(v, r, plus, minus, table))
+                failures.extend(_factor_level_check(v, r, plus, minus, decompositions, table))
     return count, failures
 
 

@@ -6,10 +6,12 @@ evaluation.  Reducedness, strong exchange and unique insertion are all
 read off a word's reflection sequence.
 
 The lookups run on plain ints, as do the walks of `little`: `sweep`
-computes the sequence of a list of letters on one window list, the
-index scans compare normalised (a, b) pairs, and a cyclically
-decreasing factor is an n-bit mask whose canonical letters `cd_letters`
-tabulates.  The functions on Word and CyclicSubset validate, then call them.
+computes the sequence of a list of letters on one window list,
+`word_record` keeps it together with its reducedness and the positions
+of each reflection, keyed by its normal form, and the index lookups
+read that record; a cyclically decreasing factor is an n-bit mask whose
+canonical letters `cd_letters` tabulates.  The functions on Word and
+CyclicSubset validate, then call them.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BadLetterError,
@@ -166,31 +169,44 @@ def sequence_is_reduced(sequence) -> bool:
     return all(p < q for p, q in sequence)
 
 
-def _positions(n: int, sequence, p: int, q: int) -> list[int]:
-    """1-based positions whose pair gives the reflection t(p, q).  Pairs
-    are compared in Reflection's normal form, as ints: the gap b - a and
-    the residue of a, for a < b the sorted pair."""
-    low, gap = min(p, q) % n, abs(q - p)
-    return [
-        j
-        for j, (x, y) in enumerate(sequence, 1)
-        if (y - x == gap and (x - low) % n == 0) or (x - y == gap and (y - low) % n == 0)
-    ]
+def _key(n: int, p: int, q: int) -> tuple[int, int]:
+    """The reflection t(p, q) in Reflection's normal form, as ints: the
+    gap b - a and the residue of a, for a < b the sorted pair."""
+    return (q - p, p % n) if p < q else (p - q, q % n)
 
 
-def partner_index(n: int, letters, sequence, i: int) -> int:
-    """The unique j != i with i's reflection in the sequence of the
-    letters; deleting either letter gives the same element (unique insertion)."""
-    hits = [j for j in _positions(n, sequence, *sequence[i - 1]) if j != i]
+class WordRecord(NamedTuple):
+    """What the lookups read off a word: its reflection sequence, whether
+    it is reduced, and where, mapping the normal key of each reflection
+    in the sequence to its 1-based positions."""
+
+    sequence: list[tuple[int, int]]
+    reduced: bool
+    where: dict[tuple[int, int], list[int]]
+
+
+def word_record(n: int, letters) -> WordRecord:
+    """The WordRecord of plain letters, from one sweep."""
+    sequence = sweep(n, letters)
+    where = {}
+    for j, (p, q) in enumerate(sequence, 1):
+        where.setdefault(_key(n, p, q), []).append(j)
+    return WordRecord(sequence, sequence_is_reduced(sequence), where)
+
+
+def partner_index(n: int, letters, record: WordRecord, i: int) -> int:
+    """The unique j != i with i's reflection in the record of the letters;
+    deleting either letter gives the same element (unique insertion)."""
+    hits = [j for j in record.where[_key(n, *record.sequence[i - 1])] if j != i]
     if len(hits) != 1:
         raise InvariantError(f"insertion uniqueness failed for {format_letters(n, letters)} at {i}")
     return hits[0]
 
 
-def reflection_index(n: int, letters, sequence, t: tuple[int, int]) -> int:
+def reflection_index(n: int, letters, record: WordRecord, t: tuple[int, int]) -> int:
     """The unique 1-based j with the reflection of the pair t = (a, b) in
-    the sequence of the letters (strong exchange)."""
-    hits = _positions(n, sequence, *t)
+    the record of the letters (strong exchange)."""
+    hits = record.where.get(_key(n, *t), [])
     if len(hits) != 1:
         raise InvariantError(f"strong exchange uniqueness failed for {format_letters(n, letters)}")
     return hits[0]
@@ -202,13 +218,13 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     Requires a reduced and evaluate(a) = v * t a Bruhat cover of v; i is
     the only position with reflection t in reflection_sequence(a).
     """
-    sequence = sweep(a.n, a.letters)
-    if not sequence_is_reduced(sequence):
+    record = word_record(a.n, a.letters)
+    if not record.reduced:
         raise NotReducedError(f"word {a} is not reduced")
     t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    return reflection_index(a.n, a.letters, sequence, (t.a, t.b))
+    return reflection_index(a.n, a.letters, record, (t.a, t.b))
 
 
 def insertion_index(a: Word, i: int) -> int:
@@ -221,7 +237,7 @@ def insertion_index(a: Word, i: int) -> int:
         raise WordIsReducedError(f"word {a} is reduced")
     if not is_reduced(a.delete(i)):
         raise MarkDeletionNotReducedError(f"deleting position {i} of {a} is not reduced")
-    j = partner_index(a.n, a.letters, sweep(a.n, a.letters), i)
+    j = partner_index(a.n, a.letters, word_record(a.n, a.letters), i)
     if evaluate(a.delete(j)) != evaluate(a.delete(i)):
         raise InvariantError(f"deleting position {j} or {i} of {a} gives different elements")
     return j

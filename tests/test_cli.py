@@ -35,13 +35,14 @@ CROSSING_WALK = (
     "generalized-little", "-n", "4", "-v", "[5,0,2,3]", "-r", "1", "-d", "1/0/3/2/1",
 )
 
-# Makes every re-mark return the position it was asked about, so the
-# factor walk's first re-mark lands in the factor that just moved.
+# Makes every re-mark, which the kernel reads off the word's record,
+# return the position it was asked about, so the factor walk's first
+# re-mark lands in the factor that just moved.
 SELF_PARTNER = """
 import sys
 import affsym.little
 from affsym.cli import main
-affsym.little.partner_index = lambda n, letters, sequence, i: i
+affsym.little.partner_index = lambda n, letters, record, i: i
 if __debug__:
     sys.exit("asserts are on: run with -O")
 sys.exit(main(sys.argv[1:]))
@@ -217,7 +218,7 @@ def test_generalized_little_walk_across_factors(capsys, decomposition, expected)
 
 
 def test_generalized_little_remark_in_moved_factor_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(affsym.little, "partner_index", lambda n, letters, sequence, i: i)
+    monkeypatch.setattr(affsym.little, "partner_index", lambda n, letters, record, i: i)
     code, out, err = run_cli(capsys, *CROSSING_WALK)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: re-mark landed")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -55,6 +56,7 @@ from affsym.words import (
     parse_word,
     reduced_words,
     subset_mask,
+    word_record,
 )
 
 FIG_V = evaluate(parse_word(5, "3410321042"))
@@ -443,9 +445,11 @@ def test_generalized_little_matches_rebuilding_oracle(n, max_length):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cover_walk_on_pairs_matches_public_walks(n):
-    # entered on the normal (a, b) pair of each cover, both ways
+    # entered on the normal (a, b) pair of each cover, both ways, with
+    # one table of records shared by all walks over v
     for l in range(4):
         for v in elements_of_length(n, l):
+            table = functools.cache(word_record)
             for w, t in covers_above(v):
                 for alpha in compositions_bounded(l + 1, n - 1):
                     for d in alpha_decompositions(w, alpha):
@@ -455,7 +459,9 @@ def test_cover_walk_on_pairs_matches_public_walks(n):
                             (False, inverse_generalized_little, t.b % n),
                         ):
                             image = public(v, r, d)
-                            out, t_out = little_module.cover_walk(v, masks, (t.a, t.b), forward)
+                            out, t_out = little_module.cover_walk(
+                                v, masks, (t.a, t.b), forward, table
+                            )
                             assert out == tuple(subset_mask(f.members) for f in image.factors)
                             expected = cover_reflection(v, image.product())
                             assert t_out == (expected.a, expected.b)

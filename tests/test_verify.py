@@ -7,7 +7,7 @@ import affsym.verify
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
 from affsym.stanley import compositions_bounded
 from affsym.verify import _random_reduced_word, bijection_sweep
-from affsym.words import Word, is_reduced
+from affsym.words import Word, evaluate, is_reduced, reduced_words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,6 +54,39 @@ def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
         for w, _ in covers_above(v)
         for alpha in compositions_bounded(v.length() + 1, 3)
     }
+
+
+def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
+    # the sweep asks for the covers of each v once, before its checks
+    elements, builds = [], collections.Counter()
+    real_covers, real_record = affsym.verify.covers_above, affsym.verify.word_record
+
+    def covers(v):
+        elements.append(v)
+        return real_covers(v)
+
+    def counting(n, letters):
+        builds[elements[-1], letters] += 1
+        return real_record(n, letters)
+
+    monkeypatch.setattr(affsym.verify, "covers_above", covers)
+    monkeypatch.setattr(affsym.verify, "word_record", counting)
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    assert elements == [v for level in bruhat_ball(4, 3) for v in level]
+    assert set(builds.values()) == {1}
+    read = collections.defaultdict(set)
+    for v, letters in builds:
+        read[v].add(letters)
+    for v in elements:
+        # every walk starts at a reduced word of a cover, and every word
+        # it visits is v-marked
+        assert {a.letters for w, _ in real_covers(v) for a in reduced_words(w)} <= read[v]
+        for letters in read[v]:
+            word = Word(4, letters)
+            deletions = [word.delete(i) for i in range(1, len(word) + 1)]
+            assert any(is_reduced(d) and evaluate(d) == v for d in deletions)
+    # a word read under two elements is built for each: the table is per v
+    assert len(builds) > len({letters for _, letters in builds})
 
 
 def test_frontier_instance_counts_follow_bott():

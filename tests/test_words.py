@@ -32,6 +32,7 @@ from affsym.words import (
     count_reduced_words,
     cyclically_decreasing_elements,
     evaluate,
+    format_letters,
     insertion_index,
     is_cyclically_decreasing,
     is_reduced,
@@ -46,6 +47,7 @@ from affsym.words import (
     sequence_is_reduced,
     subset_mask,
     sweep,
+    word_record,
 )
 
 
@@ -150,19 +152,44 @@ def object_reflection_sequence(a):
     return out[::-1]
 
 
+def positions_oracle(n, sequence, p, q):
+    """1-based positions whose pair gives the reflection t(p, q), by a
+    scan of the whole sequence.  Pairs are compared in Reflection's
+    normal form, as ints: the gap b - a and the residue of a, for a < b
+    the sorted pair."""
+    low, gap = min(p, q) % n, abs(q - p)
+    return [
+        j
+        for j, (x, y) in enumerate(sequence, 1)
+        if (y - x == gap and (x - low) % n == 0) or (x - y == gap and (y - low) % n == 0)
+    ]
+
+
 @given(reduced_word_inputs)
 def test_sweep_matches_object_sequence(pair):
     n, letters = pair
     expected = object_reflection_sequence(Word(n, tuple(letters)))
     assert sweep(n, letters) == expected
+    sequence, reduced, _ = record = word_record(n, letters)
+    assert sequence == expected
+    assert reduced == reduced_by_length(Word(n, tuple(letters)))
+    text = format_letters(n, letters)
     for j, (p, q) in enumerate(expected, 1):
         t = Reflection(n, p, q)
         others = [i for i, pair in enumerate(expected, 1) if Reflection(n, *pair) == t]
-        assert affsym.words._positions(n, expected, t.a, t.b) == others
+        assert positions_oracle(n, expected, t.a, t.b) == others
         if others == [j]:
-            assert reflection_index(n, letters, expected, (t.a, t.b)) == j
+            assert reflection_index(n, letters, record, (t.a, t.b)) == j
+        else:
+            with pytest.raises(InvariantError) as error:
+                reflection_index(n, letters, record, (t.a, t.b))
+            assert str(error.value) == f"strong exchange uniqueness failed for {text}"
         if len(others) == 2:
-            assert partner_index(n, letters, expected, j) == sum(others) - j
+            assert partner_index(n, letters, record, j) == sum(others) - j
+        else:
+            with pytest.raises(InvariantError) as error:
+                partner_index(n, letters, record, j)
+            assert str(error.value) == f"insertion uniqueness failed for {text} at {j}"
 
 
 @given(reduced_word_inputs)
