@@ -19,12 +19,15 @@ owns a fixed block of positions, and a step rewrites only that block.
 Both walks run on one integer kernel, `_walk`: factors are n-bit masks
 and the word is a list of ints.  A marked word is the tuple of its
 letters as one-letter factors, since sliding {i} down by one is
-decrementing i.  A step reads the word's `word_record` (sequence,
-reducedness, positions per reflection) from a table its caller owns,
-`functools.cache(word_record)`: each public function makes a fresh one
-per call, and the bijection sweep shares one among all walks over one v.
-The public functions validate their input once, at entry; `cover_walk`
-serves callers that hold covers by construction.
+decrementing i.  A walk is told its factors' sizes by its caller, and
+a step reads the word's `word_record` (sequence, reducedness, positions
+per reflection) from a table its caller owns,
+`functools.cache(word_record)`.  The public functions make a fresh one
+per call, unless the caller hands `phi` its own; the bijection sweep
+shares one among all walks over one v, `phi`'s included, and
+`little_trace` reads each vertex's (p, q) pair from the table its `phi`
+walk filled.  The public functions validate their input once, at
+entry; `cover_walk` serves callers that hold covers by construction.
 
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
@@ -176,6 +179,7 @@ def _layout(n: int, sizes: tuple[int, ...]):
 
 def _walk(
     n: int,
+    sizes: tuple[int, ...],
     masks: list[int],
     word: list[int],
     position: int,
@@ -187,17 +191,18 @@ def _walk(
     """Walk from the word of the factor masks, marked at the 1-based
     position, to the next reduced word; masks and word change in place.
 
-    Factor f owns a fixed block of the word, as sizes never change.  A
-    step slides the marked factor's run (down forward, up backward),
-    rewrites its block and, unless the word is reduced, re-marks at the
-    other position with the moved letter's reflection.  table(n, letters)
+    Factor f owns a fixed block of the word, as the factor sizes, which
+    the caller gives, never change.  A step slides the marked factor's
+    run (down forward, up backward), rewrites its block and, unless the
+    word is reduced, re-marks at the other position with the moved
+    letter's reflection.  table(n, letters)
     gives the word_record of each word, so that a caller can share it
     between walks (functools.cache(word_record)).  Returns the last
     moved position and the final sequence, or None after cap steps (by
     default the number of states).  path receives each vertex as
     (letters, mark): forward after the re-mark, backward before it.
     """
-    starts, owner, states = _layout(n, tuple(mask.bit_count() for mask in masks))
+    starts, owner, states = _layout(n, sizes)
     direction = -1 if forward else 1
     for _ in range(states if cap is None else cap):
         f = owner[position - 1]
@@ -219,9 +224,9 @@ def _walk(
     return None
 
 
-def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool, table):
+def cover_walk(v: AffinePermutation, masks, sizes, t: tuple[int, int], forward: bool, table):
     """The kernel's entry point for a cover v * t_{a,b} given by factor
-    masks, with t = (a, b) in Reflection's normal form.
+    masks of the given sizes, with t = (a, b) in Reflection's normal form.
 
     Marks their word at the unique position of t (strong exchange) and
     walks, reading records from table as _walk does; returns the image's
@@ -233,7 +238,7 @@ def cover_walk(v: AffinePermutation, masks, t: tuple[int, int], forward: bool, t
     word = [a for mask in masks for a in cd_letters(n, mask)]
     letters = tuple(word)
     position = reflection_index(n, letters, table(n, letters), t)
-    end = _walk(n, masks, word, position, forward, table)
+    end = _walk(n, sizes, masks, word, position, forward, table)
     if end is None:
         raise CycleOverflowError("generalized walk exceeded its cap")
     position, sequence = end
@@ -249,7 +254,8 @@ def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, 
     to i -+ 1, so this is the walk on marked words.  Returns its end and
     its path as marked words."""
     path, letters = [], list(m.word.letters)
-    end = _walk(v.n, [1 << a for a in letters], letters, mark, forward, table, path, cap)
+    sizes = (1,) * len(letters)
+    end = _walk(v.n, sizes, [1 << a for a in letters], letters, mark, forward, table, path, cap)
     return end, [MarkedWord(Word(v.n, letters), k) for letters, k in path]
 
 
@@ -272,29 +278,35 @@ def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     return _letter_walk(v, m, k, False, word_record, cap=1)[1][0]
 
 
-def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str):
-    """Walk from the reduced v-marked m to the next reduced word.
+def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str, table=None):
+    """Walk from the reduced v-marked m to the next reduced word, reading
+    m's reducedness and every step's record from table (by default a
+    fresh one).
 
     A re-mark has the mark's reflection, so only m needs checking.
     """
     _require_v_marked(v, m)
-    if not is_reduced(m.word):
+    if table is None:
+        table = functools.cache(word_record)
+    if not table(m.word.n, m.word.letters).reduced:
         raise NotReducedError(f"{m} is not a reduced marked word")
-    end, path = _letter_walk(v, m, m.mark, forward, functools.cache(word_record))
+    end, path = _letter_walk(v, m, m.mark, forward, table)
     if end is None:
         raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
     return path[-1], path
 
 
-def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
+def phi(v: AffinePermutation, m: MarkedWord, *, table=None) -> tuple[MarkedWord, list[MarkedWord]]:
     """First reduced v-marked word after m on its cycle, plus the path.
 
     The path lists every vertex visited after m, non-reduced
     intermediates included, ending with the returned vertex.  Cycles of
     the graph are finite and never loops, which the iteration cap turns
-    into a runtime check.
+    into a runtime check.  table, a functools.cache(word_record) the
+    caller shares between walks over v, gives the record of m and of
+    every vertex; by default each call makes a fresh one.
     """
-    return _marked_walk(v, m, True, "phi")
+    return _marked_walk(v, m, True, "phi", table)
 
 
 def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
@@ -318,17 +330,21 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     element together with its reduced word; the element is a left
     r-cover of v.
     """
-    if not is_reduced(a):
+    table = functools.cache(word_record)
+    record = table(a.n, a.letters)
+    if not record.reduced:
         raise NotReducedError(f"word {a} is not reduced")
     t = _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, word_record(a.n, a.letters), t)))
+    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, record, t)), table=table)
     return evaluate(out.word), out.word
 
 
 def little_trace(v: AffinePermutation, m: MarkedWord) -> list[tuple[MarkedWord, PQPair]]:
-    """The phi trace rows, input first, each with its (p, q) pair."""
-    out, path = phi(v, m)
-    return [(vertex, pq(v, vertex)) for vertex in [m] + path]
+    """The phi trace rows, input first, each with its (p, q) pair, read
+    at the vertex's mark from the record that phi's walk built."""
+    n, table = v.n, functools.cache(word_record)
+    _, path = phi(v, m, table=table)
+    return [(x, PQPair(n, *table(n, x.word.letters).sequence[x.mark - 1])) for x in [m] + path]
 
 
 def v_marked_words(v: AffinePermutation) -> list[MarkedWord]:
@@ -423,7 +439,7 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     t = _require_r_cover(v, r, d.product(), side)
     masks = [subset_mask(f.members) for f in d.factors]
-    masks, _ = cover_walk(v, masks, t, side == "right", functools.cache(word_record))
+    masks, _ = cover_walk(v, masks, d.alpha, t, side == "right", functools.cache(word_record))
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:
         raise InvariantError(f"length profile changed from {d} to {out}")

@@ -5,9 +5,10 @@ order, and returns the instance count plus a list of human-readable
 failure descriptions.  The identity sweeps count factorizations only;
 the bijection sweep exercises the word-level and factor-level maps and
 cross-checks them against independent enumeration, so the two routes to
-the cover-sum identity are verified separately.  Its walks over one v
-and the path invariants read each word's reflection record from one
-table, built on first use and dropped when v is done.
+the cover-sum identity are verified separately.  Its walks over one v,
+the factor walks and the public `phi` alike, and the path invariants
+read each word's reflection record from one table, built on first use
+and dropped when v is done; the walks are told their factor sizes.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus, table) -> list[
     """Each reduced word of a right r-cover w = v * t is marked at t's
     position and walked by phi.  Words stand for their elements: distinct
     elements have disjoint sets of reduced words.  The mark and the (p, q)
-    pair of each path vertex are read from the records in table."""
+    pair of each path vertex are read from the records in table, which
+    phi's walk reads and fills too."""
     n = v.n
     failures = []
     expected = {letters for u, _ in minus for letters in _reduced_words(u)}
@@ -94,7 +96,7 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus, table) -> list[
         for a in reduced_words(w):
             record = table(n, a.letters)
             m = MarkedWord(a, reflection_index(n, a.letters, record, t))
-            out, path = phi(v, m)
+            out, path = phi(v, m, table=table)
             c = out.word
             if c.letters not in expected:
                 failures.append(
@@ -126,19 +128,20 @@ def _factor_level_check(
 ) -> list[str]:
     """decompositions[alpha][w] lists the alpha-decompositions of each
     cover w as factor masks; an image is keyed by the normal (a, b) pair
-    of its cover reflection.  The walks there and back read table."""
+    of its cover reflection.  The walks there and back read table and
+    take alpha as their factor sizes."""
     failures = []
     for alpha, by_cover in decompositions.items():
         expected = {(t, d) for u, t in minus for d in by_cover[u]}
         images = []
         for w, t in plus:
             for d in by_cover[w]:
-                out, t_out = cover_walk(v, d, t, True, table)
+                out, t_out = cover_walk(v, d, alpha, t, True, table)
                 if tuple(mask.bit_count() for mask in out) != alpha:
                     failures.append(
                         f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
                     )
-                if cover_walk(v, out, t_out, False, table)[0] != d:
+                if cover_walk(v, out, alpha, t_out, False, table)[0] != d:
                     failures.append(
                         f"round trip fails at {_format_masks(v.n, d)} over {format_window(v)} r={r}"
                     )
@@ -155,7 +158,8 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     alpha-decompositions of a cover once per level, as a w covers several
     v, in a store dropped with its level.  Every walk starts from the
     (a, b) pair of its cover's reflection.  The word_record of each word
-    the checks of one v read is built once, in a table dropped with v."""
+    the walks and checks of one v read is built once, in a table dropped
+    with v."""
     count, failures = 0, []
     for level in bruhat_ball(n, max_length):
         store = functools.cache(decomposition_masks)

@@ -164,6 +164,37 @@ def test_phi_is_a_bijection_on_reduced_marked_words(n):
                 assert phi_inverse(v, image)[0] == m
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_on_a_shared_table_matches_fresh_tables(n):
+    # one table per v, filled by every walk over v, as the bijection sweep
+    # keeps it; little_trace's pairs match the validating pq
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            shared = functools.cache(word_record)
+            for m in v_marked_words(v):
+                if not is_reduced(m.word):
+                    continue
+                out, path = phi(v, m)
+                assert phi(v, m, table=shared) == (out, path)
+                assert little_trace(v, m) == [(x, pq(v, x)) for x in [m] + path]
+
+
+def test_phi_with_a_table_raises_the_same_errors():
+    from affsym.errors import NotReducedError
+
+    table = functools.cache(word_record)
+    cases = [
+        (identity(5), marked(5, "34102321042@5"), NotVMarkedError),
+        (FIG_V, marked(5, "34101321042@11"), NotReducedError),
+    ]
+    for v, m, error in cases:
+        with pytest.raises(error) as fresh:
+            phi(v, m)
+        with pytest.raises(error) as shared:
+            phi(v, m, table=table)
+        assert str(shared.value) == str(fresh.value)
+
+
 # ---------------------------------------------------------------------------
 # the (p, q) bookkeeping
 
@@ -460,7 +491,7 @@ def test_cover_walk_on_pairs_matches_public_walks(n):
                         ):
                             image = public(v, r, d)
                             out, t_out = little_module.cover_walk(
-                                v, masks, (t.a, t.b), forward, table
+                                v, masks, alpha, (t.a, t.b), forward, table
                             )
                             assert out == tuple(subset_mask(f.members) for f in image.factors)
                             expected = cover_reflection(v, image.product())

@@ -3,6 +3,7 @@ import random
 import re
 from pathlib import Path
 
+import affsym.little
 import affsym.verify
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
 from affsym.stanley import compositions_bounded
@@ -87,6 +88,21 @@ def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
             assert any(is_reduced(d) and evaluate(d) == v for d in deletions)
     # a word read under two elements is built for each: the table is per v
     assert len(builds) > len({letters for _, letters in builds})
+
+
+def test_bijection_sweep_walks_build_no_private_table(monkeypatch):
+    # phi and the factor walks read the sweep's per-v table; a record
+    # built through little's own word_record would be a per-call table
+    calls = []
+    real = affsym.little.word_record
+
+    def counting(n, letters):
+        calls.append(letters)
+        return real(n, letters)
+
+    monkeypatch.setattr(affsym.little, "word_record", counting)
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    assert calls == []
 
 
 def test_frontier_instance_counts_follow_bott():
