@@ -65,7 +65,6 @@ from .words import (
     cd_element,
     cd_letters,
     evaluate,
-    is_reduced,
     mask_members,
     parse_word,
     partner_index,
@@ -109,8 +108,10 @@ def parse_marked_word(n: int, text: str) -> MarkedWord:
 
 
 def is_v_marked(v: AffinePermutation, m: MarkedWord) -> bool:
+    """A word that evaluates to v is reduced exactly when it has l(v)
+    letters, so the deletion needs no reflection sequence."""
     deletion = m.word.delete(m.mark)
-    return is_reduced(deletion) and evaluate(deletion) == v
+    return len(deletion) == v.length() and evaluate(deletion) == v
 
 
 def _require_v_marked(v: AffinePermutation, m: MarkedWord) -> None:

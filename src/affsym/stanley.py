@@ -97,7 +97,7 @@ def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition
     alpha = _composition_of_length(w, alpha)
     return [
         AlphaDecomposition(w.n, tuple(CyclicSubset(w.n, mask_members(w.n, m)) for m in masks))
-        for masks in decomposition_masks(w, alpha)
+        for masks in decomposition_masks(w, [alpha])[alpha]
     ]
 
 
@@ -128,32 +128,40 @@ def _peel(n: int, u: tuple[int, ...], letters) -> tuple[int, ...] | None:
     return tuple(u)
 
 
-def decomposition_masks(w: AffinePermutation, alpha: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The alpha-decompositions of w as tuples of factor masks, in the
-    order of alpha_decompositions; alpha must be a composition of l(w).
+def decomposition_masks(w: AffinePermutation, profiles) -> dict[tuple[int, ...], list]:
+    """The alpha-decompositions of w as tuples of factor masks, for each
+    alpha in profiles ([] when there are none), each in the order of
+    alpha_decompositions; every alpha must be a composition of l(w).
 
     Peels the factors off the left of w, letter by letter, on the window
-    of w^-1."""
-    n, out = w.n, []
+    of w^-1, in one pass over the trie of profiles: profiles with a
+    common prefix share its peels."""
+    n, out, trie = w.n, {alpha: [] for alpha in profiles}, {}
+    for alpha, found in out.items():
+        node = trie
+        for part in alpha:
+            node = node.setdefault(part, {})
+        node[0] = found  # parts are positive, so 0 keys the profile's list
     identity_window = tuple(range(1, n + 1))
 
-    def descend(u, remaining, chosen):
-        if not remaining:
-            if u == identity_window:
-                out.append(chosen)
-            return
-        for mask, letters in _cd_masks(n, remaining[0]):
-            tail = _peel(n, u, letters)
-            if tail is not None:
-                descend(tail, remaining[1:], chosen + (mask,))
+    def descend(u, node, chosen):
+        for size, child in node.items():
+            if not size:
+                if u == identity_window:
+                    child.append(chosen)
+                continue
+            for mask, letters in _cd_masks(n, size):
+                tail = _peel(n, u, letters)
+                if tail is not None:
+                    descend(tail, child, chosen + (mask,))
 
-    descend(w.inverse().window, alpha, ())
+    descend(w.inverse().window, trie, ())
     return out
 
 
 @lru_cache(maxsize=None)
 def _coefficient(n: int, u: tuple[int, ...], alpha: tuple[int, ...]) -> int:
-    """The count of decomposition_masks for the element with inverse window u."""
+    """The number of alpha-decompositions of the element with inverse window u."""
     if not alpha:
         return int(u == tuple(range(1, n + 1)))
     total = 0

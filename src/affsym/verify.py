@@ -5,10 +5,14 @@ order, and returns the instance count plus a list of human-readable
 failure descriptions.  The identity sweeps count factorizations only;
 the bijection sweep exercises the word-level and factor-level maps and
 cross-checks them against independent enumeration, so the two routes to
-the cover-sum identity are verified separately.  Its walks over one v,
-the factor walks and the public `phi` alike, and the path invariants
-read each word's reflection record from one table, built on first use
-and dropped when v is done; the walks are told their factor sizes.
+the cover-sum identity are verified separately.  A level's store holds,
+per cover w, its alpha-decompositions at every profile from one peel
+pass; the all-ones ones are the reduced words of w.  The public `phi`
+walks each of these once, and its images are the forward all-ones
+factor walks, which are only walked back.  Its walks over one v, phi's
+and the factor walks alike, and the path invariants read each word's
+reflection record from one table, built on first use and dropped when
+v is done; the walks are told their factor sizes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .group import (
     covers_above,
     format_window,
     is_r_cover,
+    reflection_pair,
     simple,
 )
 from .little import MarkedWord, cover_walk, phi
@@ -33,14 +38,12 @@ from .stanley import (
 )
 from .words import (
     Word,
-    _reduced_words,
     evaluate,
     format_letters,
     insertion_index,
     is_reduced,
     marked_index,
     mask_members,
-    reduced_words,
     reflection_index,
     word_record,
 )
@@ -82,28 +85,32 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return count, failures
 
 
-def _word_level_check(v: AffinePermutation, r: int, plus, minus, table) -> list[str]:
-    """Each reduced word of a right r-cover w = v * t is marked at t's
-    position and walked by phi.  Words stand for their elements: distinct
-    elements have disjoint sets of reduced words.  The mark and the (p, q)
-    pair of each path vertex are read from the records in table, which
-    phi's walk reads and fills too."""
+def _word_level_check(v: AffinePermutation, r: int, plus, minus, store, table):
+    """Each reduced word of a right r-cover w = v * t (an all-ones
+    decomposition of w in store) is marked at t's position and walked by
+    phi.  Words stand for their elements: distinct elements have disjoint
+    sets of reduced words.  The mark and the (p, q) pair of each path
+    vertex are read from the records in table, which phi's walk reads and
+    fills too.  Returns the failures and phi's walks as forward all-ones
+    factor walks: masks to the image's masks and its final normal pair."""
     n = v.n
-    failures = []
-    expected = {letters for u, _ in minus for letters in _reduced_words(u)}
-    images = []
+    ones = (1,) * (v.length() + 1)
+    failures, images, forward = [], [], {}
+    expected = {d for u, _ in minus for d in store[u][ones]}
     for w, t in plus:
-        for a in reduced_words(w):
-            record = table(n, a.letters)
-            m = MarkedWord(a, reflection_index(n, a.letters, record, t))
+        for d in store[w][ones]:
+            letters = tuple(mask.bit_length() - 1 for mask in d)
+            record = table(n, letters)
+            m = MarkedWord(Word(n, letters), reflection_index(n, letters, record, t))
             out, path = phi(v, m, table=table)
             c = out.word
-            if c.letters not in expected:
+            image = tuple(1 << a for a in c.letters)
+            if image not in expected:
                 failures.append(
                     f"phi_r image {c}@{format_window(evaluate(c))} outside the left covers "
                     f"of v={format_window(v)} r={r}"
                 )
-            images.append(c.letters)
+            images.append(image)
             # the (p, q) pair at each vertex's mark, as pq reads it
             pairs = [record.sequence[m.mark - 1]]
             pairs += [table(n, x.word.letters).sequence[x.mark - 1] for x in path]
@@ -112,11 +119,12 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus, table) -> list[
                     failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
             if (pairs[-1][1] - r) % n != 0:
                 failures.append(f"path q-invariant fails at {path[-1]} over {format_window(v)}")
+            forward[d] = image, reflection_pair(n, *pairs[-1])
     if len(set(images)) != len(images):
         failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
     if set(images) != expected:
         failures.append(f"phi_r not surjective at v={format_window(v)} r={r}")
-    return failures
+    return failures, forward
 
 
 def _format_masks(n: int, masks) -> str:
@@ -124,19 +132,20 @@ def _format_masks(n: int, masks) -> str:
 
 
 def _factor_level_check(
-    v: AffinePermutation, r: int, plus, minus, decompositions, table
+    v: AffinePermutation, r: int, plus, minus, store, profiles, forward, table
 ) -> list[str]:
-    """decompositions[alpha][w] lists the alpha-decompositions of each
-    cover w as factor masks; an image is keyed by the normal (a, b) pair
-    of its cover reflection.  The walks there and back read table and
-    take alpha as their factor sizes."""
+    """store[w][alpha] lists the alpha-decompositions of each cover w as
+    factor masks; an image is keyed by the normal (a, b) pair of its
+    cover reflection.  The forward walks at alpha = (1, ..., 1) are phi's,
+    read from forward; the other walks there and back read table and take
+    alpha as their factor sizes."""
     failures = []
-    for alpha, by_cover in decompositions.items():
-        expected = {(t, d) for u, t in minus for d in by_cover[u]}
+    for alpha in profiles:
+        expected = {(t, d) for u, t in minus for d in store[u][alpha]}
         images = []
         for w, t in plus:
-            for d in by_cover[w]:
-                out, t_out = cover_walk(v, d, alpha, t, True, table)
+            for d in store[w][alpha]:
+                out, t_out = forward.get(d) or cover_walk(v, d, alpha, t, True, table)
                 if tuple(mask.bit_count() for mask in out) != alpha:
                     failures.append(
                         f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
@@ -155,27 +164,27 @@ def _factor_level_check(
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     """Covers are computed once per v and shared by every residue r; the
-    alpha-decompositions of a cover once per level, as a w covers several
-    v, in a store dropped with its level.  Every walk starts from the
-    (a, b) pair of its cover's reflection.  The word_record of each word
-    the walks and checks of one v read is built once, in a table dropped
-    with v."""
+    alpha-decompositions of a cover, for every profile alpha at once, once
+    per level, as a w covers several v, in a store dropped with its level.
+    Every walk starts from the (a, b) pair of its cover's reflection.  The
+    word_record of each word the walks and checks of one v read is built
+    once, in a table dropped with v."""
     count, failures = 0, []
-    for level in bruhat_ball(n, max_length):
-        store = functools.cache(decomposition_masks)
+    for length, level in enumerate(bruhat_ball(n, max_length)):
+        store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
         for v in level:
             pairs = covers_above(v)
+            for w, _ in pairs:
+                if w not in store:
+                    store[w] = decomposition_masks(w, profiles)
             table = functools.cache(word_record)
-            decompositions = {
-                alpha: {w: store(w, alpha) for w, _ in pairs}
-                for alpha in compositions_bounded(v.length() + 1, n - 1)
-            }
             for r in range(n):
                 plus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "right")]
                 minus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "left")]
                 count += 1
-                failures.extend(_word_level_check(v, r, plus, minus, table))
-                failures.extend(_factor_level_check(v, r, plus, minus, decompositions, table))
+                found, forward = _word_level_check(v, r, plus, minus, store, table)
+                failures += found
+                failures += _factor_level_check(v, r, plus, minus, store, profiles, forward, table)
     return count, failures
 
 

@@ -36,7 +36,7 @@ from .errors import (
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, canonical_reduced_word, cover_reflection, identity
+from .group import AffinePermutation, canonical_reduced_word, cover_reflection
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,11 @@ class Word:
     def __post_init__(self):
         if self.n < 2:
             raise BadLetterError(f"words need period n >= 2, got {self.n}")
-        object.__setattr__(self, "letters", tuple(int(a) for a in self.letters))
-        for a in self.letters:
-            if not 0 <= a < self.n:
-                raise BadLetterError(f"letter {a} not in [0, {self.n - 1}]")
+        n, letters = self.n, tuple(map(int, self.letters))
+        for a in letters:
+            if not 0 <= a < n:
+                raise BadLetterError(f"letter {a} not in [0, {n - 1}]")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -101,10 +102,13 @@ def evaluate(a: Word) -> AffinePermutation:
     >>> evaluate(parse_word(4, "310")).window
     (-1, 1, 4, 6)
     """
-    w = identity(a.n)
+    n, window = a.n, list(range(1, a.n + 1))
     for i in a.letters:
-        w = w.times_simple(i)
-    return w
+        if i:
+            window[i - 1], window[i] = window[i], window[i - 1]
+        else:
+            window[0], window[-1] = window[-1] - n, window[0] + n
+    return AffinePermutation(n, tuple(window))
 
 
 def is_reduced(a: Word) -> bool:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -20,6 +21,7 @@ from affsym.group import (
     from_window,
     identity,
     left_r_covers,
+    reflection_pair,
     right_r_covers,
 )
 from affsym.little import (
@@ -117,6 +119,26 @@ def test_backward_inverts_forward_exhaustively(n):
                 image = forward_step(v, m)
                 assert is_v_marked(v, image)
                 assert backward_step(v, image) == m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_is_v_marked_matches_reduced_deletion_evaluating_to_v(n):
+    # a deletion that evaluates to v is reduced exactly when it has l(v)
+    # letters; every word of length l(v) + 1 (and, to reach deletions of
+    # the wrong length, l(v) + 3) at every mark, false cases included
+    verdicts = collections.Counter()
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            for length in (l + 1, l + 3):
+                for letters in itertools.product(range(n), repeat=length):
+                    word = Word(n, letters)
+                    for mark in range(1, length + 1):
+                        deletion = word.delete(mark)
+                        expected = is_reduced(deletion) and evaluate(deletion) == v
+                        assert is_v_marked(v, MarkedWord(word, mark)) == expected
+                        verdicts[length - l, expected] += 1
+    assert all(verdicts[key] for key in ((1, True), (1, False), (3, False)))
+    assert verdicts[3, True] == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -496,6 +518,25 @@ def test_cover_walk_on_pairs_matches_public_walks(n):
                             assert out == tuple(subset_mask(f.members) for f in image.factors)
                             expected = cover_reflection(v, image.product())
                             assert t_out == (expected.a, expected.b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_is_the_forward_all_ones_cover_walk(n):
+    # the bijection sweep takes phi's images as its forward factor walks
+    # at alpha = (1, ..., 1): same image masks, and t' the normal pair at
+    # phi's final mark
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            table = functools.cache(word_record)
+            for w, t in covers_above(v):
+                for a in reduced_words(w):
+                    out, _ = phi(v, MarkedWord(a, marked_index(a, v)), table=table)
+                    masks, t_out = little_module.cover_walk(
+                        v, tuple(1 << i for i in a.letters), (1,) * (l + 1), (t.a, t.b), True, table
+                    )
+                    assert masks == tuple(1 << i for i in out.word.letters)
+                    end = table(n, out.word.letters).sequence[out.mark - 1]
+                    assert t_out == reflection_pair(n, *end)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

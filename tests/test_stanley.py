@@ -41,6 +41,7 @@ from affsym.stanley import (
     classical_element,
     coefficient,
     compositions_bounded,
+    decomposition_masks,
     expand_in_affine_schur,
     ls_children,
     multiply_by_s1,
@@ -48,7 +49,14 @@ from affsym.stanley import (
     stanley_table,
 )
 from affsym.verify import chevalley_sweep
-from affsym.words import CyclicSubset, cd_element, cd_subset, evaluate, parse_word
+from affsym.words import (
+    CyclicSubset,
+    _reduced_words,
+    cd_element,
+    cd_subset,
+    evaluate,
+    parse_word,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +117,68 @@ def test_alpha_decompositions_match_object_descent(n, max_length):
                 members = [tuple(f.members for f in d.factors) for d in decs]
                 assert members == _object_descent(w, alpha)
                 assert all(d.product() == w for d in decs)
+
+
+def _masks_per_profile(w, alpha):
+    """decomposition_masks as first written: one left-peel descent per
+    profile, sharing no peel with any other profile."""
+    n, out = w.n, []
+    identity_window = tuple(range(1, n + 1))
+
+    def descend(u, remaining, chosen):
+        if not remaining:
+            if u == identity_window:
+                out.append(chosen)
+            return
+        for mask, letters in stanley_module._cd_masks(n, remaining[0]):
+            tail = stanley_module._peel(n, u, letters)
+            if tail is not None:
+                descend(tail, remaining[1:], chosen + (mask,))
+
+    descend(w.inverse().window, alpha, ())
+    return out
+
+
+def _check_shared_descent(w):
+    profiles = list(compositions_bounded(w.length(), w.n - 1))
+    got = decomposition_masks(w, profiles)
+    # every profile is a key, in the order given; [] when it has none
+    assert list(got) == profiles
+    for alpha in profiles:
+        assert got[alpha] == _masks_per_profile(w, alpha)
+        assert decomposition_masks(w, [alpha]) == {alpha: got[alpha]}
+    assert decomposition_masks(w, profiles[::-1]) == got
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decomposition_masks_match_per_profile_descent(n):
+    empty = 0
+    for l in range(7):
+        for w in elements_of_length(n, l):
+            empty += sum(not masks for masks in _check_shared_descent(w).values())
+    assert empty or n == 2
+
+
+def test_decomposition_masks_match_per_profile_descent_sampled():
+    for w in _sample(5, 8, 8, seed=8):
+        _check_shared_descent(w)
+
+
+def test_decomposition_masks_of_an_unused_profile_are_empty():
+    w = from_window(3, [3, 2, 1])
+    assert decomposition_masks(w, [(3,), (2, 1)]) == {(3,): [], (2, 1): [(0b110, 0b100)]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_all_ones_decompositions_are_the_reduced_words(n):
+    # the bijection sweep reads each cover's reduced words off its
+    # all-ones decompositions, in the order of reduced_words
+    for l in range(6):
+        ones = (1,) * l
+        for w in elements_of_length(n, l):
+            words = [tuple(1 << a for a in letters) for letters in _reduced_words(w)]
+            assert decomposition_masks(w, [ones])[ones] == words
 
 
 def test_coefficient_examples():

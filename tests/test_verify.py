@@ -5,6 +5,7 @@ from pathlib import Path
 
 import affsym.little
 import affsym.verify
+from affsym.cli import main
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
 from affsym.stanley import compositions_bounded
 from affsym.verify import _random_reduced_word, bijection_sweep
@@ -38,23 +39,83 @@ def test_random_reduced_word_matches_extension_test():
 
 
 def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
+    # one call per distinct cover w in the ball, for all of its profiles
+    # at once: the store is per level and keyed by cover, and a w covers
+    # several v of a level
     calls = collections.Counter()
     real = affsym.verify.decomposition_masks
 
-    def counting(w, alpha):
-        calls[w, alpha] += 1
-        return real(w, alpha)
+    def counting(w, profiles):
+        calls[w, tuple(profiles)] += 1
+        return real(w, profiles)
 
     monkeypatch.setattr(affsym.verify, "decomposition_masks", counting)
     assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
     assert set(calls.values()) == {1}
-    assert set(calls) == {
-        (w, alpha)
-        for level in bruhat_ball(4, 3)
-        for v in level
-        for w, _ in covers_above(v)
-        for alpha in compositions_bounded(v.length() + 1, 3)
-    }
+    covers = {w for level in bruhat_ball(4, 3) for v in level for w, _ in covers_above(v)}
+    assert len(calls) == len(covers)
+    assert set(calls) == {(w, tuple(compositions_bounded(w.length(), 3))) for w in covers}
+
+
+def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
+    # phi is the one forward all-ones walk: the factor-level check takes
+    # its images and walks only the other profiles forward
+    calls = collections.Counter()
+    real_phi, real_walk = affsym.verify.phi, affsym.verify.cover_walk
+
+    def counting_phi(v, m, **kwargs):
+        calls["phi"] += 1
+        return real_phi(v, m, **kwargs)
+
+    def counting_walk(v, masks, sizes, t, forward, table):
+        calls["cover_walk"] += 1
+        calls["all-ones forward"] += forward and set(sizes) == {1}
+        return real_walk(v, masks, sizes, t, forward, table)
+
+    monkeypatch.setattr(affsym.verify, "phi", counting_phi)
+    monkeypatch.setattr(affsym.verify, "cover_walk", counting_walk)
+    assert bijection_sweep(4, 4) == (276, [])
+    assert calls == {"phi": 1124, "cover_walk": 7316, "all-ones forward": 0}
+
+
+def _verify_bijection(capsys):
+    status = main(["verify", "-n", "3", "--max-length", "2", "bijection"])
+    return status, capsys.readouterr().out
+
+
+def test_perturbed_all_ones_backward_walk_fails_the_round_trip(monkeypatch, capsys):
+    real = affsym.verify.cover_walk
+
+    def perturbed(v, masks, sizes, t, forward, table):
+        out, t_out = real(v, masks, sizes, t, forward, table)
+        if not forward and set(sizes) == {1}:
+            out = out[1:] + out[:1]
+        return out, t_out
+
+    monkeypatch.setattr(affsym.verify, "cover_walk", perturbed)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert "round trip fails" in out
+    assert out.endswith("verification FAILED\n")
+
+
+def test_perturbed_phi_image_fails_word_and_all_ones_factor_checks(monkeypatch, capsys):
+    # phi maps each word to itself: its image is a right cover's word
+    real = affsym.verify.phi
+
+    def perturbed(v, m, **kwargs):
+        real(v, m, **kwargs)
+        return m, [m]
+
+    monkeypatch.setattr(affsym.verify, "phi", perturbed)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert re.search(r"^FAIL phi_r image \d+@\[.*\] outside the left covers of v=", out, re.M)
+    assert "phi_r not surjective" in out
+    # the all-ones factor-level check reads phi's images, and fails with it
+    assert "round trip fails" in out
+    assert re.search(r"factor-level map not bijective at .* alpha=\(1, 1\)$", out, re.M)
+    assert "alpha=(2, 1)" not in out and "alpha=(1, 2)" not in out
 
 
 def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):

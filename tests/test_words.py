@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import affsym.words
 from affsym.errors import (
+    BadLetterError,
     FullSetError,
     InvariantError,
     MarkDeletionNotReducedError,
@@ -134,6 +137,26 @@ def test_evaluate_examples():
     assert evaluate(Word(3, ())) == identity(3)
     w = evaluate(parse_word(5, "3410321042"))
     assert w.length() == 10
+
+
+def test_evaluate_matches_times_simple_chain():
+    # the one-list window against one AffinePermutation per letter
+    rng = random.Random(7)
+    for _ in range(500):
+        n = rng.randint(2, 6)
+        word = Word(n, tuple(rng.randrange(n) for _ in range(rng.randint(0, 12))))
+        w = identity(n)
+        for letter in word.letters:
+            w = w.times_simple(letter)
+        assert evaluate(word) == w
+
+
+def test_word_rejects_the_first_bad_letter():
+    with pytest.raises(BadLetterError, match=re.escape("letter 5 not in [0, 3]")):
+        Word(4, (1, 5, -1))
+    with pytest.raises(BadLetterError, match=re.escape("letter -1 not in [0, 3]")):
+        Word(4, (1, 3, -1))
+    assert Word(4, [True, 3.0, "2"]).letters == (1, 3, 2)
 
 
 def test_is_reduced_examples():
