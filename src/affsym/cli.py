@@ -11,7 +11,6 @@ Exit status: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ComputationError, DomainError, InputError
@@ -33,6 +32,8 @@ from .words import evaluate, is_reduced, parse_word, reduced_words
 
 
 def _emit_json(payload) -> None:
+    import json  # only --json output needs it, so plain commands start sooner
+
     print(json.dumps(payload, sort_keys=True))
 
 

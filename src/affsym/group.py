@@ -20,8 +20,8 @@ AffinePermutation(n=4, window=(2, 5, 0, 3))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import (
     BadIndexError,
@@ -39,12 +39,51 @@ from .errors import (
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AffinePermutation:
+class Record:
+    """Equality within one class, repr and pickling by the fields: the two
+    or more names in __slots__ that do not start with an underscore."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = attrgetter(*cls._fields) if cls._fields else None
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class Value(Record):
+    """A hashable Record whose __init__ sets its fields once, by object.__setattr__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AffinePermutation(Value):
     """A period-n affine permutation given by its window."""
 
-    n: int
-    window: tuple[int, ...]
+    __slots__ = ("n", "window")
+
+    def __init__(self, n: int, window: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
 
     def __call__(self, i: int) -> int:
         """Value of the underlying bijection at any integer i."""
@@ -155,24 +194,20 @@ def transposition_element(n: int, r: int, s: int) -> AffinePermutation:
     return AffinePermutation(n, tuple(values))
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Value):
     """A transposition t_{a,b} in canonical form: a < b, a in [1, n].
 
     t_{r,s} and t_{r+kn,s+kn} denote the same element, so the pair is
     shifted until the smaller entry lands in [1, n].
     """
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        if (self.a - self.b) % self.n == 0:
-            raise CongruentPairError(
-                f"t_({self.a},{self.b}) undefined: congruent mod {self.n}"
-            )
-        a, b = reflection_pair(self.n, self.a, self.b)
+    def __init__(self, n: int, a: int, b: int):
+        if (a - b) % n == 0:
+            raise CongruentPairError(f"t_({a},{b}) undefined: congruent mod {n}")
+        a, b = reflection_pair(n, a, b)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

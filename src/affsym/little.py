@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CycleOverflowError,
@@ -54,6 +53,7 @@ from .errors import (
 from .group import (
     AffinePermutation,
     Reflection,
+    Value,
     cover_reflection,
     identity,
     is_r_cover,
@@ -76,16 +76,16 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class MarkedWord:
+class MarkedWord(Value):
     """A word with a distinguished 1-based position."""
 
-    word: Word
-    mark: int
+    __slots__ = ("word", "mark")
 
-    def __post_init__(self):
-        if not 1 <= self.mark <= len(self.word):
-            raise FormatError(f"mark {self.mark} outside word of length {len(self.word)}")
+    def __init__(self, word: Word, mark: int):
+        if not 1 <= mark <= len(word):
+            raise FormatError(f"mark {mark} outside word of length {len(word)}")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "mark", mark)
 
     def __str__(self) -> str:
         return f"{self.word}@{self.mark}"
@@ -119,25 +119,23 @@ def _require_v_marked(v: AffinePermutation, m: MarkedWord) -> None:
         raise NotVMarkedError(f"{m} is not v-marked for v = {list(v.window)}")
 
 
-@dataclass(frozen=True)
-class PQPair:
+class PQPair(Value):
     """The reflection data (p, q) of a marked word, with evaluate = v * t_{p,q}.
 
     Pairs related by a simultaneous shift (p + kn, q + kn) are identified;
     the stored representative has min(p, q) in [1, n].
     """
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ("n", "p", "q")
 
-    def __post_init__(self):
-        if (self.p - self.q) % self.n == 0:
-            raise FormatError(f"degenerate pair ({self.p},{self.q}) mod {self.n}")
+    def __init__(self, n: int, p: int, q: int):
+        if (p - q) % n == 0:
+            raise FormatError(f"degenerate pair ({p},{q}) mod {n}")
         # the shift that makes t_{p,q} canonical also fixes the pair
-        shift = reflection_pair(self.n, self.p, self.q)[0] - min(self.p, self.q)
-        object.__setattr__(self, "p", self.p + shift)
-        object.__setattr__(self, "q", self.q + shift)
+        shift = reflection_pair(n, p, q)[0] - min(p, q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p + shift)
+        object.__setattr__(self, "q", q + shift)
 
     def reflection(self) -> Reflection:
         return Reflection(self.n, self.p, self.q)
@@ -363,16 +361,16 @@ def v_marked_words(v: AffinePermutation) -> list[MarkedWord]:
 # Set-level step on cyclically decreasing covers
 
 
-@dataclass(frozen=True)
-class MarkedSubset:
+class MarkedSubset(Value):
     """A proper subset of Z/nZ with one distinguished member."""
 
-    subset: CyclicSubset
-    mark: int
+    __slots__ = ("subset", "mark")
 
-    def __post_init__(self):
-        if self.mark not in self.subset:
-            raise MarkAbsentError(f"mark {self.mark} not in subset {self.subset}")
+    def __init__(self, subset: CyclicSubset, mark: int):
+        if mark not in subset:
+            raise MarkAbsentError(f"mark {mark} not in subset {subset}")
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "mark", mark)
 
 
 def _slide_subset(ms: MarkedSubset, direction: int) -> MarkedSubset:
@@ -401,20 +399,20 @@ def cd_cover_step_back(ms: MarkedSubset) -> MarkedSubset:
 # Factor tuples (alpha-decompositions) and the generalized algorithm
 
 
-@dataclass(frozen=True)
-class AlphaDecomposition:
+class AlphaDecomposition(Value):
     """A length-additive tuple of cyclically decreasing factors."""
 
-    n: int
-    factors: tuple[CyclicSubset, ...]
+    __slots__ = ("n", "factors", "_product")
 
-    def __post_init__(self):
-        w = identity(self.n)
-        for factor in self.factors:
-            if factor.n != self.n:
+    def __init__(self, n: int, factors: tuple[CyclicSubset, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
+        w = identity(n)
+        for factor in factors:
+            if factor.n != n:
                 raise InvalidDecompositionError("factors with mixed periods")
             w = w * cd_element(factor)
-        if w.length() != sum(len(f) for f in self.factors):
+        if w.length() != sum(len(f) for f in factors):
             raise InvalidDecompositionError(f"factor lengths do not add: {self}")
         object.__setattr__(self, "_product", w)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,15 +42,15 @@ from .errors import (
 from .group import (
     AffinePermutation,
     Partition,
+    Record,
     chevalley_coefficient,
     covers_above,
     from_window,
     grassmannian_from_partition,
     grassmannian_to_partition,
     is_grassmannian,
-    left_r_covers,
+    is_r_cover,
     residue_count,
-    right_r_covers,
 )
 from .little import AlphaDecomposition
 from .words import CyclicSubset, cd_element, cd_letters, mask_members, subset_mask
@@ -177,20 +176,18 @@ def coefficient(w: AffinePermutation, alpha) -> int:
     return _coefficient(w.n, w.inverse().window, _composition_of_length(w, alpha))
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(Record):
     """Partition-indexed monomial coefficients of one symmetric function.
 
     Keys are partitions of `degree` with parts <= n-1; zero entries are
     dropped so equality is semantic.
     """
 
-    n: int
-    degree: int
-    entries: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("n", "degree", "entries")
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v != 0}
+    def __init__(self, n: int, degree: int, entries: dict[Partition, int] | None = None):
+        self.n, self.degree = n, degree
+        self.entries = {k: v for k, v in (entries or {}).items() if v != 0}
 
     def __add__(self, other: "CoefficientTable") -> "CoefficientTable":
         if self.n != other.n:
@@ -208,14 +205,6 @@ class CoefficientTable:
 
     def scaled(self, c: int) -> "CoefficientTable":
         return CoefficientTable(self.n, self.degree, {k: c * v for k, v in self.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoefficientTable)
-            and self.n == other.n
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
 
     def items_sorted(self):
         return sorted(self.entries.items())
@@ -306,16 +295,22 @@ def multiply_by_s1(table: CoefficientTable) -> CoefficientTable:
 # Identity checkers
 
 
-@dataclass
-class GarsiaLittleReport:
+class GarsiaLittleReport(Record):
     """Both cover sums of the cover-sum identity at (v, r)."""
 
-    v: AffinePermutation
-    r: int
-    plus_covers: list[AffinePermutation]
-    minus_covers: list[AffinePermutation]
-    plus_table: CoefficientTable
-    minus_table: CoefficientTable
+    __slots__ = ("v", "r", "plus_covers", "minus_covers", "plus_table", "minus_table")
+
+    def __init__(
+        self,
+        v: AffinePermutation,
+        r: int,
+        plus_covers: list[AffinePermutation],
+        minus_covers: list[AffinePermutation],
+        plus_table: CoefficientTable,
+        minus_table: CoefficientTable,
+    ):
+        self.v, self.r, self.plus_covers, self.minus_covers = v, r, plus_covers, minus_covers
+        self.plus_table, self.minus_table = plus_table, minus_table
 
     @property
     def equal(self) -> bool:
@@ -328,27 +323,40 @@ def check_garsia_little(v: AffinePermutation, r: int) -> GarsiaLittleReport:
     Counts come from factorization counting only, independent of the
     bijection machinery.
     """
-    degree = v.length() + 1
-    plus = right_r_covers(v, r)
-    minus = left_r_covers(v, r)
-    plus_table = CoefficientTable.zero(v.n, degree)
-    for w in plus:
-        plus_table = plus_table + stanley_table(w)
-    minus_table = CoefficientTable.zero(v.n, degree)
-    for u in minus:
-        minus_table = minus_table + stanley_table(u)
-    return GarsiaLittleReport(v, r, plus, minus, plus_table, minus_table)
+    return garsia_little_reports(v, [r])[0]
 
 
-@dataclass
-class ChevalleyReport:
+def garsia_little_reports(v: AffinePermutation, residues) -> list[GarsiaLittleReport]:
+    """check_garsia_little at each residue, with the covers of v computed once."""
+    covers = covers_above(v)
+    zero = CoefficientTable.zero(v.n, v.length() + 1)
+
+    def cover_sum(r, side):
+        chosen = [w for w, t in covers if is_r_cover(t, r, side)]
+        return chosen, sum((stanley_table(w) for w in chosen), zero)
+
+    reports = []
+    for r in residues:
+        (plus, plus_table), (minus, minus_table) = cover_sum(r, "right"), cover_sum(r, "left")
+        reports.append(GarsiaLittleReport(v, r, plus, minus, plus_table, minus_table))
+    return reports
+
+
+class ChevalleyReport(Record):
     """Both sides of the degree-one product rule at (v, r)."""
 
-    v: AffinePermutation
-    r: int
-    left_table: CoefficientTable
-    right_table: CoefficientTable
-    terms: list[tuple[AffinePermutation, int]]
+    __slots__ = ("v", "r", "left_table", "right_table", "terms")
+
+    def __init__(
+        self,
+        v: AffinePermutation,
+        r: int,
+        left_table: CoefficientTable,
+        right_table: CoefficientTable,
+        terms: list[tuple[AffinePermutation, int]],
+    ):
+        self.v, self.r, self.terms = v, r, terms
+        self.left_table, self.right_table = left_table, right_table
 
     @property
     def equal(self) -> bool:
@@ -418,16 +426,17 @@ def _solve_unitriangular(basis, target: CoefficientTable) -> tuple[list[int], di
     return solution[::-1], residual
 
 
-@dataclass
-class ExpansionResult:
+class ExpansionResult(Record):
     """Coefficients of one table in the Grassmannian basis.
 
     `exact` records that the combination reproduces the input table with
     zero residual; it is verified, not assumed.
     """
 
-    coefficients: dict[Partition, Fraction]
-    exact: bool
+    __slots__ = ("coefficients", "exact")
+
+    def __init__(self, coefficients: dict[Partition, Fraction], exact: bool):
+        self.coefficients, self.exact = coefficients, exact
 
 
 def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:

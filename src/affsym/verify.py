@@ -32,9 +32,9 @@ from .group import (
 from .little import MarkedWord, cover_walk, phi
 from .stanley import (
     chevalley_reports,
-    check_garsia_little,
     compositions_bounded,
     decomposition_masks,
+    garsia_little_reports,
 )
 from .words import (
     Word,
@@ -49,23 +49,19 @@ from .words import (
 )
 
 
-def _instances(n: int, max_length: int):
+def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    """The covers of v are computed once per v and shared by every
+    residue r."""
+    count, failures = 0, []
     for level in bruhat_ball(n, max_length):
         for v in level:
-            for r in range(n):
-                yield v, r
-
-
-def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    count, failures = 0, []
-    for v, r in _instances(n, max_length):
-        count += 1
-        report = check_garsia_little(v, r)
-        if not report.equal:
-            failures.append(
-                f"cover-sum identity fails at v={format_window(v)} r={r}: "
-                f"minus={report.minus_table.entries} plus={report.plus_table.entries}"
-            )
+            for report in garsia_little_reports(v, range(n)):
+                count += 1
+                if not report.equal:
+                    failures.append(
+                        f"cover-sum identity fails at v={format_window(v)} r={report.r}: "
+                        f"minus={report.minus_table.entries} plus={report.plus_table.entries}"
+                    )
     return count, failures
 
 

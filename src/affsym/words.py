@@ -22,7 +22,6 @@ the maximal cyclic intervals of A, and all evaluate to one element w(A).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,23 +35,22 @@ from .errors import (
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, canonical_reduced_word, cover_reflection
+from .group import AffinePermutation, Value, canonical_reduced_word, cover_reflection
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A sequence of residues in [0, n-1]."""
 
-    n: int
-    letters: tuple[int, ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise BadLetterError(f"words need period n >= 2, got {self.n}")
-        n, letters = self.n, tuple(map(int, self.letters))
+    def __init__(self, n: int, letters: tuple[int, ...]):
+        if n < 2:
+            raise BadLetterError(f"words need period n >= 2, got {n}")
+        letters = tuple(map(int, letters))
         for a in letters:
             if not 0 <= a < n:
                 raise BadLetterError(f"letter {a} not in [0, {n - 1}]")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -265,20 +263,19 @@ def is_cyclically_decreasing(a: Word) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CyclicSubset:
+class CyclicSubset(Value):
     """A proper subset of Z/nZ, stored as a sorted tuple of residues."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self):
-        members = tuple(sorted({int(m) for m in self.members}))
+    def __init__(self, n: int, members: tuple[int, ...]):
+        members = tuple(sorted({int(m) for m in members}))
         for m in members:
-            if not 0 <= m < self.n:
-                raise BadLetterError(f"residue {m} not in [0, {self.n - 1}]")
-        if len(members) >= self.n:
-            raise FullSetError(f"subset of Z/{self.n}Z must be proper")
+            if not 0 <= m < n:
+                raise BadLetterError(f"residue {m} not in [0, {n - 1}]")
+        if len(members) >= n:
+            raise FullSetError(f"subset of Z/{n}Z must be proper")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:

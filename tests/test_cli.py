@@ -372,3 +372,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["covers"])
     assert excinfo.value.code == 2
+
+
+def test_import_loads_no_dataclasses_inspect_or_json(child_env):
+    # each costs a cold command milliseconds; json loads only for --json
+    heavy = "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import affsym.cli, sys; {heavy}"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

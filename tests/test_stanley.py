@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import affsym.group
 import affsym.stanley as stanley_module
 from affsym.cli import main
 from affsym.errors import (
@@ -48,7 +49,7 @@ from affsym.stanley import (
     partitions_bounded,
     stanley_table,
 )
-from affsym.verify import chevalley_sweep
+from affsym.verify import chevalley_sweep, garsia_little_sweep
 from affsym.words import (
     CyclicSubset,
     _reduced_words,
@@ -475,6 +476,18 @@ def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
     monkeypatch.setattr(stanley_module, "covers_above", lambda v: calls.append(v) or real(v))
     assert chevalley_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
     assert calls == [v for level in bruhat_ball(4, 3) for v in level]
+
+
+def test_garsia_little_sweep_computes_covers_once_per_element(monkeypatch):
+    # 69 elements of length <= 4 at n = 4, one cover list each for all r
+    calls = []
+    for module in (affsym.group, stanley_module):
+        real = module.covers_above
+        counting = lambda v, real=real: calls.append(v) or real(v)
+        monkeypatch.setattr(module, "covers_above", counting)
+    assert garsia_little_sweep(4, 4) == (4 * 69, [])
+    assert calls == [v for level in bruhat_ball(4, 4) for v in level]
+    assert len(calls) == 69
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
