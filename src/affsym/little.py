@@ -20,14 +20,15 @@ Both walks run on one integer kernel, `_walk`: factors are n-bit masks
 and the word is a list of ints.  A marked word is the tuple of its
 letters as one-letter factors, since sliding {i} down by one is
 decrementing i.  A walk is told its factors' sizes by its caller, and
-a step reads the word's `word_record` (sequence, reducedness, positions
-per reflection) from a table its caller owns,
+a step reads the word's `word_record` (sequence, reducedness, the key
+of each position's reflection) from a table its caller owns,
 `functools.cache(word_record)`.  The public functions make a fresh one
 per call, unless the caller hands `phi` its own; the bijection sweep
 shares one among all walks over one v, `phi`'s included, and
 `little_trace` reads each vertex's (p, q) pair from the table its `phi`
 walk filled.  The public functions validate their input once, at
-entry; `cover_walk` serves callers that hold covers by construction.
+entry; `cover_walk` (one walk) and `round_trip` (forward, then back
+from where it ended) serve callers that hold covers by construction.
 
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
@@ -65,6 +66,7 @@ from .words import (
     cd_element,
     cd_letters,
     evaluate,
+    letters_window,
     mask_members,
     parse_word,
     partner_index,
@@ -109,9 +111,10 @@ def parse_marked_word(n: int, text: str) -> MarkedWord:
 
 def is_v_marked(v: AffinePermutation, m: MarkedWord) -> bool:
     """A word that evaluates to v is reduced exactly when it has l(v)
-    letters, so the deletion needs no reflection sequence."""
-    deletion = m.word.delete(m.mark)
-    return len(deletion) == v.length() and evaluate(deletion) == v
+    letters, so the deletion's length and window decide."""
+    letters = m.word.letters
+    deletion = letters[: m.mark - 1] + letters[m.mark :]
+    return len(deletion) == v.length() and letters_window(v.n, deletion) == v.window
 
 
 def _require_v_marked(v: AffinePermutation, m: MarkedWord) -> None:
@@ -194,12 +197,12 @@ def _walk(
     the caller gives, never change.  A step slides the marked factor's
     run (down forward, up backward), rewrites its block and, unless the
     word is reduced, re-marks at the other position with the moved
-    letter's reflection.  table(n, letters)
-    gives the word_record of each word, so that a caller can share it
-    between walks (functools.cache(word_record)).  Returns the last
-    moved position and the final sequence, or None after cap steps (by
-    default the number of states).  path receives each vertex as
-    (letters, mark): forward after the re-mark, backward before it.
+    letter's reflection.  table(n, letters) gives the word_record of
+    each word, so that a caller can share it between walks
+    (functools.cache(word_record)).  Returns the last moved position and
+    the final letters and record, or None after cap steps (by default
+    the number of states).  path receives each vertex as (letters,
+    mark): forward after the re-mark, backward before it.
     """
     starts, owner, states = _layout(n, sizes)
     direction = -1 if forward else 1
@@ -214,7 +217,7 @@ def _walk(
         if record.reduced:
             if path is not None:
                 path.append((letters, moved))
-            return moved, record.sequence
+            return moved, letters, record
         position = partner_index(n, letters, record, moved)
         if owner[position - 1] == f:
             raise InvariantError("re-mark landed in the moved factor")
@@ -223,25 +226,41 @@ def _walk(
     return None
 
 
-def cover_walk(v: AffinePermutation, masks, sizes, t: tuple[int, int], forward: bool, table):
-    """The kernel's entry point for a cover v * t_{a,b} given by factor
-    masks of the given sizes, with t = (a, b) in Reflection's normal form.
-
-    Marks their word at the unique position of t (strong exchange) and
-    walks, reading records from table as _walk does; returns the image's
-    masks and the normal pair t' at its mark, so that the image
-    evaluates to v * t'.  Nothing else is checked: the callers hold
-    covers by construction.
-    """
-    n, masks = v.n, list(masks)
+def _cover_walks(n: int, masks, sizes, t: tuple[int, int], directions, table):
+    """Walk the word of the factor masks once per direction, each walk
+    from where the last ended, reading records from table as _walk does.
+    Each walk starts at the unique position of a normal pair (strong
+    exchange): t = (a, b) first, then the pair t' at the last walk's
+    final mark.  Returns each walk's final masks and t'."""
+    masks = list(masks)
     word = [a for mask in masks for a in cd_letters(n, mask)]
     letters = tuple(word)
-    position = reflection_index(n, letters, table(n, letters), t)
-    end = _walk(n, sizes, masks, word, position, forward, table)
-    if end is None:
-        raise CycleOverflowError("generalized walk exceeded its cap")
-    position, sequence = end
-    return tuple(masks), reflection_pair(n, *sequence[position - 1])
+    record, ends = table(n, letters), []
+    for forward in directions:
+        end = _walk(n, sizes, masks, word, reflection_index(n, letters, record, t), forward, table)
+        if end is None:
+            raise CycleOverflowError("generalized walk exceeded its cap")
+        position, letters, record = end
+        t = reflection_pair(n, *record.sequence[position - 1])
+        ends.append((tuple(masks), t))
+    return ends
+
+
+def cover_walk(v: AffinePermutation, masks, sizes, t: tuple[int, int], forward: bool, table):
+    """The kernel's entry point for one walk of the cover v * t_{a,b}
+    given by factor masks of the given sizes, t = (a, b) in Reflection's
+    normal form: returns the image's masks and the normal pair t' at its
+    mark, so that the image evaluates to v * t'.  Nothing else is
+    checked: the callers hold covers by construction."""
+    return _cover_walks(v.n, masks, sizes, t, (forward,), table)[0]
+
+
+def round_trip(v: AffinePermutation, masks, sizes, t: tuple[int, int], table):
+    """cover_walk forward, then backward from the image's final word,
+    masks and record; returns the image's masks, t' and the masks the
+    backward walk ends at, which are the given ones for a bijection."""
+    (image, t_out), (back, _) = _cover_walks(v.n, masks, sizes, t, (True, False), table)
+    return image, t_out, back
 
 
 # ---------------------------------------------------------------------------

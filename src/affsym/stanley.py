@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegreeMismatchError,
@@ -54,6 +54,9 @@ from .group import (
 )
 from .little import AlphaDecomposition
 from .words import CyclicSubset, cd_element, cd_letters, mask_members, subset_mask
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def compositions_bounded(total: int, max_part: int):
@@ -442,6 +445,8 @@ class ExpansionResult(Record):
 def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:
     """Solve for the table of w in the span of the same-degree Grassmannian
     tables, by unitriangular back-substitution."""
+    from fractions import Fraction  # imported here: only expand pays for fractions and decimal
+
     basis = affine_schur_basis(w.n, w.length())
     solution, residual = _solve_unitriangular(basis, stanley_table(w))
     coefficients = {label: Fraction(value) for (_, label, _), value in zip(basis, solution)}

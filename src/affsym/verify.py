@@ -9,10 +9,10 @@ the cover-sum identity are verified separately.  A level's store holds,
 per cover w, its alpha-decompositions at every profile from one peel
 pass; the all-ones ones are the reduced words of w.  The public `phi`
 walks each of these once, and its images are the forward all-ones
-factor walks, which are only walked back.  Its walks over one v, phi's
-and the factor walks alike, and the path invariants read each word's
-reflection record from one table, built on first use and dropped when
-v is done; the walks are told their factor sizes.
+factor walks, which are only walked back; every other decomposition
+takes one `round_trip`.  The walks over one v and the path invariants
+read each word's reflection record from one table, built on first use
+and dropped when v is done; the walks are told their factor sizes.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .group import (
     bruhat_ball,
     covers_above,
     format_window,
-    is_r_cover,
     reflection_pair,
     simple,
 )
-from .little import MarkedWord, cover_walk, phi
+from .little import MarkedWord, cover_walk, phi, round_trip
 from .stanley import (
     chevalley_reports,
     compositions_bounded,
@@ -81,20 +80,20 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return count, failures
 
 
-def _word_level_check(v: AffinePermutation, r: int, plus, minus, store, table):
+def _word_level_check(v: AffinePermutation, r: int, plus, minus, table):
     """Each reduced word of a right r-cover w = v * t (an all-ones
-    decomposition of w in store) is marked at t's position and walked by
-    phi.  Words stand for their elements: distinct elements have disjoint
-    sets of reduced words.  The mark and the (p, q) pair of each path
-    vertex are read from the records in table, which phi's walk reads and
-    fills too.  Returns the failures and phi's walks as forward all-ones
-    factor walks: masks to the image's masks and its final normal pair."""
+    decomposition in w's store entry) is marked at t's position and
+    walked by phi.  Words stand for their elements: distinct elements
+    have disjoint sets of reduced words.  The mark and the (p, q) pair of
+    each path vertex are read from the records in table, which phi's
+    walk reads and fills too.  Returns the failures and, in order, phi's
+    walks as forward all-ones factor walks: image masks and final pair."""
     n = v.n
     ones = (1,) * (v.length() + 1)
-    failures, images, forward = [], [], {}
-    expected = {d for u, _ in minus for d in store[u][ones]}
-    for w, t in plus:
-        for d in store[w][ones]:
+    failures, forward = [], []
+    expected = {d for entry, _ in minus for d in entry[ones]}
+    for entry, t in plus:
+        for d in entry[ones]:
             letters = tuple(mask.bit_length() - 1 for mask in d)
             record = table(n, letters)
             m = MarkedWord(Word(n, letters), reflection_index(n, letters, record, t))
@@ -106,7 +105,6 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus, store, table):
                     f"phi_r image {c}@{format_window(evaluate(c))} outside the left covers "
                     f"of v={format_window(v)} r={r}"
                 )
-            images.append(image)
             # the (p, q) pair at each vertex's mark, as pq reads it
             pairs = [record.sequence[m.mark - 1]]
             pairs += [table(n, x.word.letters).sequence[x.mark - 1] for x in path]
@@ -115,7 +113,8 @@ def _word_level_check(v: AffinePermutation, r: int, plus, minus, store, table):
                     failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
             if (pairs[-1][1] - r) % n != 0:
                 failures.append(f"path q-invariant fails at {path[-1]} over {format_window(v)}")
-            forward[d] = image, reflection_pair(n, *pairs[-1])
+            forward.append((image, reflection_pair(n, *pairs[-1])))
+    images = [image for image, _ in forward]
     if len(set(images)) != len(images):
         failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
     if set(images) != expected:
@@ -127,26 +126,28 @@ def _format_masks(n: int, masks) -> str:
     return "/".join(format_letters(n, mask_members(n, mask)) for mask in masks)
 
 
-def _factor_level_check(
-    v: AffinePermutation, r: int, plus, minus, store, profiles, forward, table
-) -> list[str]:
-    """store[w][alpha] lists the alpha-decompositions of each cover w as
-    factor masks; an image is keyed by the normal (a, b) pair of its
-    cover reflection.  The forward walks at alpha = (1, ..., 1) are phi's,
-    read from forward; the other walks there and back read table and take
-    alpha as their factor sizes."""
-    failures = []
+def _factor_level_check(v: AffinePermutation, r: int, plus, minus, profiles, forward, table):
+    """plus and minus pair each cover's store entry (its decompositions
+    as factor masks per profile alpha) with the normal (a, b) pair of its
+    reflection, which keys its images.  At alpha = (1, ..., 1) phi's
+    images, in order in forward, are only walked back; every other
+    decomposition takes one round trip.  Walks read table."""
+    failures, ones = [], (1,) * (v.length() + 1)
     for alpha in profiles:
-        expected = {(t, d) for u, t in minus for d in store[u][alpha]}
-        images = []
-        for w, t in plus:
-            for d in store[w][alpha]:
-                out, t_out = forward.get(d) or cover_walk(v, d, alpha, t, True, table)
-                if tuple(mask.bit_count() for mask in out) != alpha:
+        expected = {(t, d) for entry, t in minus for d in entry[alpha]}
+        images, phi_images = [], iter(forward)
+        for entry, t in plus:
+            for d in entry[alpha]:
+                if alpha == ones:
+                    out, t_out = next(phi_images)
+                    back = cover_walk(v, out, alpha, t_out, False, table)[0]
+                else:
+                    out, t_out, back = round_trip(v, d, alpha, t, table)
+                if tuple(map(int.bit_count, out)) != alpha:
                     failures.append(
                         f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
                     )
-                if cover_walk(v, out, alpha, t_out, False, table)[0] != d:
+                if back != d:
                     failures.append(
                         f"round trip fails at {_format_masks(v.n, d)} over {format_window(v)} r={r}"
                     )
@@ -159,28 +160,29 @@ def _factor_level_check(
 
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """Covers are computed once per v and shared by every residue r; the
-    alpha-decompositions of a cover, for every profile alpha at once, once
-    per level, as a w covers several v, in a store dropped with its level.
-    Every walk starts from the (a, b) pair of its cover's reflection.  The
-    word_record of each word the walks and checks of one v read is built
-    once, in a table dropped with v."""
+    """Covers are computed once per v, each resolved once to its store
+    entry and the (a, b) pair of its reflection and filed under the
+    residues of a (right r-covers) and of b (left), so no check hashes
+    an element.  A cover's alpha-decompositions, every profile at once,
+    are found once per level, in a store dropped with the level; each
+    word's word_record once per v, in a table dropped with v."""
     count, failures = 0, []
     for length, level in enumerate(bruhat_ball(n, max_length)):
         store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
         for v in level:
-            pairs = covers_above(v)
-            for w, _ in pairs:
-                if w not in store:
-                    store[w] = decomposition_masks(w, profiles)
+            plus, minus = [[] for _ in range(n)], [[] for _ in range(n)]
+            for w, t in covers_above(v):
+                entry = store.get(w)
+                if entry is None:
+                    entry = store[w] = decomposition_masks(w, profiles)
+                plus[t.a % n].append((entry, (t.a, t.b)))
+                minus[t.b % n].append((entry, (t.a, t.b)))
             table = functools.cache(word_record)
             for r in range(n):
-                plus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "right")]
-                minus = [(w, (t.a, t.b)) for w, t in pairs if is_r_cover(t, r, "left")]
                 count += 1
-                found, forward = _word_level_check(v, r, plus, minus, store, table)
+                found, forward = _word_level_check(v, r, plus[r], minus[r], table)
                 failures += found
-                failures += _factor_level_check(v, r, plus, minus, store, profiles, forward, table)
+                failures += _factor_level_check(v, r, plus[r], minus[r], profiles, forward, table)
     return count, failures
 
 

@@ -7,11 +7,11 @@ read off a word's reflection sequence.
 
 The lookups run on plain ints, as do the walks of `little`: `sweep`
 computes the sequence of a list of letters on one window list,
-`word_record` keeps it together with its reducedness and the positions
-of each reflection, keyed by its normal form, and the index lookups
-read that record; a cyclically decreasing factor is an n-bit mask whose
-canonical letters `cd_letters` tabulates.  The functions on Word and
-CyclicSubset validate, then call them.
+`word_record` keeps it together with its reducedness and, per position,
+the normal key of its reflection, and the index lookups count and find
+a key in that list; a cyclically decreasing factor is an n-bit mask
+whose canonical letters `cd_letters` tabulates.  The functions on Word
+and CyclicSubset validate, then call them.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
@@ -100,13 +100,18 @@ def evaluate(a: Word) -> AffinePermutation:
     >>> evaluate(parse_word(4, "310")).window
     (-1, 1, 4, 6)
     """
-    n, window = a.n, list(range(1, a.n + 1))
-    for i in a.letters:
+    return AffinePermutation(a.n, letters_window(a.n, a.letters))
+
+
+def letters_window(n: int, letters) -> tuple[int, ...]:
+    """The window of the left-to-right product of plain letters."""
+    window = list(range(1, n + 1))
+    for i in letters:
         if i:
             window[i - 1], window[i] = window[i], window[i - 1]
         else:
             window[0], window[-1] = window[-1] - n, window[0] + n
-    return AffinePermutation(n, tuple(window))
+    return tuple(window)
 
 
 def is_reduced(a: Word) -> bool:
@@ -171,47 +176,42 @@ def sequence_is_reduced(sequence) -> bool:
     return all(p < q for p, q in sequence)
 
 
-def _key(n: int, p: int, q: int) -> tuple[int, int]:
-    """The reflection t(p, q) in Reflection's normal form, as ints: the
-    gap b - a and the residue of a, for a < b the sorted pair."""
-    return (q - p, p % n) if p < q else (p - q, q % n)
-
-
 class WordRecord(NamedTuple):
     """What the lookups read off a word: its reflection sequence, whether
-    it is reduced, and where, mapping the normal key of each reflection
-    in the sequence to its 1-based positions."""
+    it is reduced, and per position the key (b - a) * n + a mod n of its
+    reflection t(p, q), a < b the sorted pair, unique to the reflection."""
 
     sequence: list[tuple[int, int]]
     reduced: bool
-    where: dict[tuple[int, int], list[int]]
+    keys: list[int]
 
 
 def word_record(n: int, letters) -> WordRecord:
     """The WordRecord of plain letters, from one sweep."""
     sequence = sweep(n, letters)
-    where = {}
-    for j, (p, q) in enumerate(sequence, 1):
-        where.setdefault(_key(n, p, q), []).append(j)
-    return WordRecord(sequence, sequence_is_reduced(sequence), where)
+    keys = [(q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence]
+    return WordRecord(sequence, sequence_is_reduced(sequence), keys)
 
 
 def partner_index(n: int, letters, record: WordRecord, i: int) -> int:
     """The unique j != i with i's reflection in the record of the letters;
     deleting either letter gives the same element (unique insertion)."""
-    hits = [j for j in record.where[_key(n, *record.sequence[i - 1])] if j != i]
-    if len(hits) != 1:
+    keys = record.keys
+    key = keys[i - 1]
+    if keys.count(key) != 2:
         raise InvariantError(f"insertion uniqueness failed for {format_letters(n, letters)} at {i}")
-    return hits[0]
+    j = keys.index(key) + 1
+    return j if j != i else keys.index(key, i) + 1
 
 
 def reflection_index(n: int, letters, record: WordRecord, t: tuple[int, int]) -> int:
-    """The unique 1-based j with the reflection of the pair t = (a, b) in
-    the record of the letters (strong exchange)."""
-    hits = record.where.get(_key(n, *t), [])
-    if len(hits) != 1:
+    """The unique 1-based j with the reflection of the normal pair
+    t = (a, b), a < b, in the record of the letters (strong exchange)."""
+    a, b = t
+    key, keys = (b - a) * n + a % n, record.keys
+    if keys.count(key) != 1:
         raise InvariantError(f"strong exchange uniqueness failed for {format_letters(n, letters)}")
-    return hits[0]
+    return keys.index(key) + 1
 
 
 def marked_index(a: Word, v: AffinePermutation) -> int:

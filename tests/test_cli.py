@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -384,3 +385,41 @@ def test_import_loads_no_dataclasses_inspect_or_json(child_env):
         env=child_env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_verify_loads_no_fractions_or_decimal(child_env):
+    # only expand builds a Fraction, and imports fractions (and with it
+    # decimal) when it does
+    script = (
+        "import contextlib, io, sys, affsym.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = affsym.cli.main(['verify', '-n', '3', '--max-length', '1', 'bijection'])\n"
+        "print(status, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+
+# stdout SHA-256 and exit status of `verify ... all` runs, recorded at
+# 9683b22 (before the bijection sweep's round-trip kernel and key-list
+# word records); every suite's output must stay byte-identical
+VERIFY_GOLDENS = [
+    (
+        ("-n", "3", "--max-length", "4", "--json", "--seed", "3", "all"),
+        "af965d0b92efbe288eb5e90251cd17b45f8874b9d526133ffdf25d47317f6052",
+    ),
+    (
+        ("-n", "5", "--max-length", "1", "--seed", "4", "all"),
+        "fb9636a9ac509674fa9e3e2dab13944ed6de98645d81eabf7cc1c0c78f062515",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", VERIFY_GOLDENS, ids=[" ".join(a) for a, _ in VERIFY_GOLDENS])
+def test_verify_all_matches_recorded_golden(child_env, args, digest):
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsym", "verify", *args], capture_output=True, env=child_env
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (0, digest)

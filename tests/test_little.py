@@ -521,6 +521,26 @@ def test_cover_walk_on_pairs_matches_public_walks(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+def test_round_trip_is_cover_walk_forward_then_backward(n):
+    # the backward half starts from the forward half's final word, masks
+    # and record; cover_walk starts each walk afresh from masks and a pair
+    for l in range(4):
+        for v in elements_of_length(n, l):
+            shared, fresh = functools.cache(word_record), functools.cache(word_record)
+            for w, t in covers_above(v):
+                for alpha in compositions_bounded(l + 1, n - 1):
+                    for d in alpha_decompositions(w, alpha):
+                        masks = tuple(subset_mask(f.members) for f in d.factors)
+                        trip = little_module.round_trip(v, masks, alpha, (t.a, t.b), shared)
+                        out, t_out = little_module.cover_walk(
+                            v, masks, alpha, (t.a, t.b), True, fresh
+                        )
+                        back, _ = little_module.cover_walk(v, out, alpha, t_out, False, fresh)
+                        assert trip == (out, t_out, back)
+                        assert back == masks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_phi_is_the_forward_all_ones_cover_walk(n):
     # the bijection sweep takes phi's images as its forward factor walks
     # at alpha = (1, ..., 1): same image masks, and t' the normal pair at

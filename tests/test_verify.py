@@ -59,23 +59,34 @@ def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
 
 def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
     # phi is the one forward all-ones walk: the factor-level check takes
-    # its images and walks only the other profiles forward
+    # its images and only walks them back; every other decomposition takes
+    # one round trip, whose forward half is its only forward walk
     calls = collections.Counter()
-    real_phi, real_walk = affsym.verify.phi, affsym.verify.cover_walk
+    real_phi, real_walk, real_trip = (
+        affsym.verify.phi,
+        affsym.verify.cover_walk,
+        affsym.verify.round_trip,
+    )
 
     def counting_phi(v, m, **kwargs):
         calls["phi"] += 1
         return real_phi(v, m, **kwargs)
 
     def counting_walk(v, masks, sizes, t, forward, table):
-        calls["cover_walk"] += 1
+        calls["backward" if not forward else "forward"] += 1
         calls["all-ones forward"] += forward and set(sizes) == {1}
         return real_walk(v, masks, sizes, t, forward, table)
 
+    def counting_trip(v, masks, sizes, t, table):
+        calls["round trip"] += 1
+        calls["all-ones forward"] += set(sizes) == {1}
+        return real_trip(v, masks, sizes, t, table)
+
     monkeypatch.setattr(affsym.verify, "phi", counting_phi)
     monkeypatch.setattr(affsym.verify, "cover_walk", counting_walk)
+    monkeypatch.setattr(affsym.verify, "round_trip", counting_trip)
     assert bijection_sweep(4, 4) == (276, [])
-    assert calls == {"phi": 1124, "cover_walk": 7316, "all-ones forward": 0}
+    assert calls == {"phi": 1124, "backward": 1124, "round trip": 3096, "all-ones forward": 0}
 
 
 def _verify_bijection(capsys):
@@ -97,6 +108,26 @@ def test_perturbed_all_ones_backward_walk_fails_the_round_trip(monkeypatch, caps
     assert status == 1
     assert "round trip fails" in out
     assert out.endswith("verification FAILED\n")
+
+
+def test_perturbed_round_trip_backward_half_fails_the_round_trip(monkeypatch, capsys):
+    # the kernel's backward walks at other profiles end one factor off,
+    # and only the round trips there walk back at them
+    real = affsym.little._walk
+
+    def perturbed(n, sizes, masks, word, position, forward, table, path=None, cap=None):
+        end = real(n, sizes, masks, word, position, forward, table, path, cap)
+        if not forward and set(sizes) != {1}:
+            masks.append(masks.pop(0))
+        return end
+
+    monkeypatch.setattr(affsym.little, "_walk", perturbed)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert re.search(r"^FAIL round trip fails at \d+/\d+ over \[.*\] r=\d$", out, re.M)
+    assert out.endswith("verification FAILED\n")
+    # the forward halves are untouched: images, profiles and phi all pass
+    assert "not bijective" not in out and "length profile" not in out and "phi_r" not in out
 
 
 def test_perturbed_phi_image_fails_word_and_all_ones_factor_checks(monkeypatch, capsys):
@@ -170,13 +201,18 @@ def test_frontier_instance_counts_follow_bott():
     # each sweep suite checks n instances per element of length <= L
     for (n, max_length), count in FRONTIER.items():
         assert count == n * sum(bott_level_sizes(n, max_length))
+    # a point may be measured again at a later commit: one row per
+    # (point, suite, commit), and every point and suite has a row
     rows = re.findall(
-        r"^\| `affsym verify -n (\d+) --max-length (\d+) (bijection|all)` \| ([\d,]+) \|",
+        r"^\| `affsym verify -n (\d+) --max-length (\d+) (bijection|all)` \| ([\d,]+) \|"
+        r".* \| ([^|]+) \|$",
         README.read_text(),
         re.MULTILINE,
     )
-    assert sorted((int(n), int(l), suite) for n, l, suite, _ in rows) == sorted(
+    measured = [(int(n), int(l), suite, commit) for n, l, suite, _, commit in rows]
+    assert len(set(measured)) == len(measured)
+    assert {point[:3] for point in measured} == {
         (n, l, suite) for n, l in FRONTIER for suite in ("all", "bijection")
-    )
-    for n, max_length, _, count in rows:
+    }
+    for n, max_length, _, count, _ in rows:
         assert int(count.replace(",", "")) == FRONTIER[int(n), int(max_length)]

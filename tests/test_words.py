@@ -216,6 +216,17 @@ def test_sweep_matches_object_sequence(pair):
 
 
 @given(reduced_word_inputs)
+def test_record_keys_match_positions_oracle(pair):
+    # two positions share a key exactly when they share a reflection
+    n, letters = pair
+    record = word_record(n, letters)
+    assert len(record.keys) == len(record.sequence) == len(letters)
+    for key, (p, q) in zip(record.keys, record.sequence):
+        positions = [j for j, other in enumerate(record.keys, 1) if other == key]
+        assert positions == positions_oracle(n, record.sequence, p, q)
+
+
+@given(reduced_word_inputs)
 def test_is_reduced_agrees_with_length(pair):
     n, letters = pair
     a = Word(n, tuple(letters))
