@@ -43,7 +43,6 @@ from .group import (
     AffinePermutation,
     Partition,
     Record,
-    chevalley_coefficient,
     covers_above,
     from_window,
     grassmannian_from_partition,

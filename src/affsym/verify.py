@@ -3,16 +3,15 @@
 Each sweep walks every (v, r) with l(v) bounded, in a deterministic
 order, and returns the instance count plus a list of human-readable
 failure descriptions.  The identity sweeps count factorizations only;
-the bijection sweep exercises the word-level and factor-level maps and
-cross-checks them against independent enumeration, so the two routes to
-the cover-sum identity are verified separately.  A level's store holds,
-per cover w, its alpha-decompositions at every profile from one peel
-pass; the all-ones ones are the reduced words of w.  The public `phi`
-walks each of these once, and its images are the forward all-ones
-factor walks, which are only walked back; every other decomposition
-takes one `round_trip`.  The walks over one v and the path invariants
-read each word's reflection record from one table, built on first use
-and dropped when v is done; the walks are told their factor sizes.
+the bijection sweep checks the factor-level Little map once per (v, r),
+profile by profile, against independent enumeration.  A level's store
+holds, per cover w, its alpha-decompositions at every profile from one
+peel pass.  The all-ones ones are the reduced words of w, so the
+word-level bijection is the alpha = (1, ..., 1) case, where the forward
+walk is the public `phi`; every other decomposition takes one
+`round_trip`.  The walks over one v and the path invariants read each
+word's reflection record from one table, built on first use and dropped
+when v is done; the walks are told their factor sizes.
 """
 
 from __future__ import annotations
@@ -48,115 +47,99 @@ from .words import (
 )
 
 
-def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """The covers of v are computed once per v and shared by every
-    residue r."""
+def _table_sweep(n: int, max_length: int, reports, name: str, sides) -> tuple[int, list[str]]:
+    """Sweep reports(v, residues); a failure prints each side's table."""
     count, failures = 0, []
     for level in bruhat_ball(n, max_length):
         for v in level:
-            for report in garsia_little_reports(v, range(n)):
+            for report in reports(v, range(n)):
                 count += 1
                 if not report.equal:
-                    failures.append(
-                        f"cover-sum identity fails at v={format_window(v)} r={report.r}: "
-                        f"minus={report.minus_table.entries} plus={report.plus_table.entries}"
-                    )
+                    tables = " ".join(f"{s}={getattr(report, s + '_table').entries}" for s in sides)
+                    failures.append(f"{name} fails at v={format_window(v)} r={report.r}: {tables}")
     return count, failures
+
+
+def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    """The covers of v are computed once per v and shared by every
+    residue r."""
+    sides = ("minus", "plus")
+    return _table_sweep(n, max_length, garsia_little_reports, "cover-sum identity", sides)
 
 
 def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     """The tables of v and of its covers are computed once per v and
     shared by every residue r."""
-    count, failures = 0, []
-    for level in bruhat_ball(n, max_length):
-        for v in level:
-            for report in chevalley_reports(v, range(n)):
-                count += 1
-                if not report.equal:
-                    failures.append(
-                        f"degree-one product rule fails at v={format_window(v)} r={report.r}: "
-                        f"left={report.left_table.entries} right={report.right_table.entries}"
-                    )
-    return count, failures
-
-
-def _word_level_check(v: AffinePermutation, r: int, plus, minus, table):
-    """Each reduced word of a right r-cover w = v * t (an all-ones
-    decomposition in w's store entry) is marked at t's position and
-    walked by phi.  Words stand for their elements: distinct elements
-    have disjoint sets of reduced words.  The mark and the (p, q) pair of
-    each path vertex are read from the records in table, which phi's
-    walk reads and fills too.  Returns the failures and, in order, phi's
-    walks as forward all-ones factor walks: image masks and final pair."""
-    n = v.n
-    ones = (1,) * (v.length() + 1)
-    failures, forward = [], []
-    expected = {d for entry, _ in minus for d in entry[ones]}
-    for entry, t in plus:
-        for d in entry[ones]:
-            letters = tuple(mask.bit_length() - 1 for mask in d)
-            record = table(n, letters)
-            m = MarkedWord(Word(n, letters), reflection_index(n, letters, record, t))
-            out, path = phi(v, m, table=table)
-            c = out.word
-            image = tuple(1 << a for a in c.letters)
-            if image not in expected:
-                failures.append(
-                    f"phi_r image {c}@{format_window(evaluate(c))} outside the left covers "
-                    f"of v={format_window(v)} r={r}"
-                )
-            # the (p, q) pair at each vertex's mark, as pq reads it
-            pairs = [record.sequence[m.mark - 1]]
-            pairs += [table(n, x.word.letters).sequence[x.mark - 1] for x in path]
-            for vertex, (p, _) in zip([m] + path[:-1], pairs):
-                if (p - r) % n != 0:
-                    failures.append(f"path p-invariant fails at {vertex} over {format_window(v)}")
-            if (pairs[-1][1] - r) % n != 0:
-                failures.append(f"path q-invariant fails at {path[-1]} over {format_window(v)}")
-            forward.append((image, reflection_pair(n, *pairs[-1])))
-    images = [image for image, _ in forward]
-    if len(set(images)) != len(images):
-        failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
-    if set(images) != expected:
-        failures.append(f"phi_r not surjective at v={format_window(v)} r={r}")
-    return failures, forward
+    sides = ("left", "right")
+    return _table_sweep(n, max_length, chevalley_reports, "degree-one product rule", sides)
 
 
 def _format_masks(n: int, masks) -> str:
     return "/".join(format_letters(n, mask_members(n, mask)) for mask in masks)
 
 
-def _factor_level_check(v: AffinePermutation, r: int, plus, minus, profiles, forward, table):
-    """plus and minus pair each cover's store entry (its decompositions
-    as factor masks per profile alpha) with the normal (a, b) pair of its
-    reflection, which keys its images.  At alpha = (1, ..., 1) phi's
-    images, in order in forward, are only walked back; every other
+def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table) -> list[str]:
+    """The cover-sum bijection at (v, r), one profile alpha at a time.
+    plus and minus pair each cover's store entry (its decompositions as
+    factor masks per profile) with the normal (a, b) pair of its
+    reflection, which keys its images.  At alpha = (1, ..., 1) the
+    forward walk is phi, whose images and paths also make the word-level
+    check (failures first; words stand for their elements, as distinct
+    elements have disjoint sets of reduced words); every other
     decomposition takes one round trip.  Walks read table."""
-    failures, ones = [], (1,) * (v.length() + 1)
+    n, ones = v.n, (1,) * (v.length() + 1)
+    word_failures, failures = [], []
     for alpha in profiles:
         expected = {(t, d) for entry, t in minus for d in entry[alpha]}
-        images, phi_images = [], iter(forward)
+        words, images = {d for _, d in expected} if alpha == ones else None, []
         for entry, t in plus:
             for d in entry[alpha]:
-                if alpha == ones:
-                    out, t_out = next(phi_images)
-                    back = cover_walk(v, out, alpha, t_out, False, table)[0]
-                else:
+                if alpha != ones:
                     out, t_out, back = round_trip(v, d, alpha, t, table)
+                else:
+                    letters = tuple(mask.bit_length() - 1 for mask in d)
+                    k = reflection_index(n, letters, table(n, letters), t)
+                    m = MarkedWord(Word(n, letters), k)
+                    c, path = phi(v, m, table=table)
+                    out = tuple(1 << a for a in c.word.letters)
+                    if out not in words:
+                        word_failures.append(
+                            f"phi_r image {c.word}@{format_window(evaluate(c.word))} outside "
+                            f"the left covers of v={format_window(v)} r={r}"
+                        )
+                    # the (p, q) pair at each vertex's mark, as pq reads it
+                    pairs = [table(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
+                    for vertex, (p, _) in zip([m] + path[:-1], pairs):
+                        if (p - r) % n != 0:
+                            word_failures.append(
+                                f"path p-invariant fails at {vertex} over {format_window(v)}"
+                            )
+                    if (pairs[-1][1] - r) % n != 0:
+                        word_failures.append(
+                            f"path q-invariant fails at {path[-1]} over {format_window(v)}"
+                        )
+                    t_out = reflection_pair(n, *pairs[-1])
+                    back = cover_walk(v, out, alpha, t_out, False, table)[0]
                 if tuple(map(int.bit_count, out)) != alpha:
                     failures.append(
-                        f"length profile changed at {_format_masks(v.n, d)} over {format_window(v)}"
+                        f"length profile changed at {_format_masks(n, d)} over {format_window(v)}"
                     )
                 if back != d:
                     failures.append(
-                        f"round trip fails at {_format_masks(v.n, d)} over {format_window(v)} r={r}"
+                        f"round trip fails at {_format_masks(n, d)} over {format_window(v)} r={r}"
                     )
                 images.append((t_out, out))
+        if alpha == ones:
+            outs = [out for _, out in images]
+            if len(set(outs)) != len(outs):
+                word_failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
+            if set(outs) != words:
+                word_failures.append(f"phi_r not surjective at v={format_window(v)} r={r}")
         if len(set(images)) != len(images) or set(images) != expected:
             failures.append(
                 f"factor-level map not bijective at v={format_window(v)} r={r} alpha={alpha}"
             )
-    return failures
+    return word_failures + failures
 
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
@@ -180,9 +163,7 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
             table = functools.cache(word_record)
             for r in range(n):
                 count += 1
-                found, forward = _word_level_check(v, r, plus[r], minus[r], table)
-                failures += found
-                failures += _factor_level_check(v, r, plus[r], minus[r], profiles, forward, table)
+                failures += _bijection_check(v, r, plus[r], minus[r], profiles, table)
     return count, failures
 
 

@@ -12,3 +12,22 @@ def test_no_assert_in_source(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_no_unused_imports_in_source(path):
+    # every imported name is read somewhere, as a name or the base of an
+    # attribute; __init__.py imports to re-export and is left out
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name.split(".")[0]: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"unused imports in {path.name}: {unused}"

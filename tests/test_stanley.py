@@ -22,6 +22,7 @@ from affsym.group import (
     AffinePermutation,
     bott_level_sizes,
     bruhat_ball,
+    chevalley_coefficient,
     covers_above,
     elements_of_length,
     from_window,
@@ -37,7 +38,6 @@ from affsym.stanley import (
     alpha_decompositions,
     check_chevalley,
     check_garsia_little,
-    chevalley_coefficient,
     chevalley_reports,
     classical_element,
     coefficient,

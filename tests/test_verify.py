@@ -1,12 +1,16 @@
 import collections
+import hashlib
 import random
 import re
 from pathlib import Path
+
+import pytest
 
 import affsym.little
 import affsym.verify
 from affsym.cli import main
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
+from affsym.little import MarkedWord
 from affsym.stanley import compositions_bounded
 from affsym.verify import _random_reduced_word, bijection_sweep
 from affsym.words import Word, evaluate, is_reduced, reduced_words
@@ -89,12 +93,16 @@ def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
     assert calls == {"phi": 1124, "backward": 1124, "round trip": 3096, "all-ones forward": 0}
 
 
-def _verify_bijection(capsys):
-    status = main(["verify", "-n", "3", "--max-length", "2", "bijection"])
+def _verify_bijection(capsys, max_length=2):
+    status = main(["verify", "-n", "3", "--max-length", str(max_length), "bijection"])
     return status, capsys.readouterr().out
 
 
-def test_perturbed_all_ones_backward_walk_fails_the_round_trip(monkeypatch, capsys):
+# Each fault monkeypatches one map that the bijection sweep calls; the
+# sweep's checks must catch it.
+
+
+def _all_ones_backward_fault(monkeypatch):
     real = affsym.verify.cover_walk
 
     def perturbed(v, masks, sizes, t, forward, table):
@@ -104,13 +112,9 @@ def test_perturbed_all_ones_backward_walk_fails_the_round_trip(monkeypatch, caps
         return out, t_out
 
     monkeypatch.setattr(affsym.verify, "cover_walk", perturbed)
-    status, out = _verify_bijection(capsys)
-    assert status == 1
-    assert "round trip fails" in out
-    assert out.endswith("verification FAILED\n")
 
 
-def test_perturbed_round_trip_backward_half_fails_the_round_trip(monkeypatch, capsys):
+def _round_trip_backward_fault(monkeypatch):
     # the kernel's backward walks at other profiles end one factor off,
     # and only the round trips there walk back at them
     real = affsym.little._walk
@@ -122,6 +126,77 @@ def test_perturbed_round_trip_backward_half_fails_the_round_trip(monkeypatch, ca
         return end
 
     monkeypatch.setattr(affsym.little, "_walk", perturbed)
+
+
+def _phi_identity_fault(monkeypatch):
+    # phi maps each word to itself: its image is a right cover's word
+    real = affsym.verify.phi
+
+    def perturbed(v, m, **kwargs):
+        real(v, m, **kwargs)
+        return m, [m]
+
+    monkeypatch.setattr(affsym.verify, "phi", perturbed)
+
+
+def _path_mark_fault(monkeypatch):
+    # the first vertex of a path of two or more is marked one position on
+    real = affsym.verify.phi
+
+    def perturbed(v, m, **kwargs):
+        out, path = real(v, m, **kwargs)
+        if len(path) > 1:
+            first = path[0]
+            path[0] = MarkedWord(first.word, first.mark % len(first.word) + 1)
+        return out, path
+
+    monkeypatch.setattr(affsym.verify, "phi", perturbed)
+
+
+def _one_image_per_v_fault(monkeypatch):
+    # every word over v maps to the image of the first word walked over v
+    real, first = affsym.verify.phi, {}
+
+    def perturbed(v, m, **kwargs):
+        return first.setdefault(v, real(v, m, **kwargs))
+
+    monkeypatch.setattr(affsym.verify, "phi", perturbed)
+
+
+def _image_bit_fault(monkeypatch):
+    # a round trip's image gives its first factor's lowest letter to the second
+    real = affsym.verify.round_trip
+
+    def perturbed(v, masks, sizes, t, table):
+        image, t_out, back = real(v, masks, sizes, t, table)
+        if len(image) > 1:
+            bit = image[0] & -image[0]
+            image = (image[0] ^ bit, image[1] | bit) + image[2:]
+        return image, t_out, back
+
+    monkeypatch.setattr(affsym.verify, "round_trip", perturbed)
+
+
+BIJECTION_FAULTS = {
+    "all-ones backward walk": _all_ones_backward_fault,
+    "round trip backward half": _round_trip_backward_fault,
+    "phi identity": _phi_identity_fault,
+    "path mark": _path_mark_fault,
+    "one image per v": _one_image_per_v_fault,
+    "image bit": _image_bit_fault,
+}
+
+
+def test_perturbed_all_ones_backward_walk_fails_the_round_trip(monkeypatch, capsys):
+    _all_ones_backward_fault(monkeypatch)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert "round trip fails" in out
+    assert out.endswith("verification FAILED\n")
+
+
+def test_perturbed_round_trip_backward_half_fails_the_round_trip(monkeypatch, capsys):
+    _round_trip_backward_fault(monkeypatch)
     status, out = _verify_bijection(capsys)
     assert status == 1
     assert re.search(r"^FAIL round trip fails at \d+/\d+ over \[.*\] r=\d$", out, re.M)
@@ -131,22 +206,111 @@ def test_perturbed_round_trip_backward_half_fails_the_round_trip(monkeypatch, ca
 
 
 def test_perturbed_phi_image_fails_word_and_all_ones_factor_checks(monkeypatch, capsys):
-    # phi maps each word to itself: its image is a right cover's word
-    real = affsym.verify.phi
-
-    def perturbed(v, m, **kwargs):
-        real(v, m, **kwargs)
-        return m, [m]
-
-    monkeypatch.setattr(affsym.verify, "phi", perturbed)
+    _phi_identity_fault(monkeypatch)
     status, out = _verify_bijection(capsys)
     assert status == 1
     assert re.search(r"^FAIL phi_r image \d+@\[.*\] outside the left covers of v=", out, re.M)
     assert "phi_r not surjective" in out
+    # the image keeps the right cover's mark, whose q is not r
+    assert re.search(r"^FAIL path q-invariant fails at \d+@\d+ over \[", out, re.M)
     # the all-ones factor-level check reads phi's images, and fails with it
     assert "round trip fails" in out
     assert re.search(r"factor-level map not bijective at .* alpha=\(1, 1\)$", out, re.M)
     assert "alpha=(2, 1)" not in out and "alpha=(1, 2)" not in out
+
+
+def test_moved_path_mark_fails_the_p_invariant(monkeypatch, capsys):
+    _path_mark_fault(monkeypatch)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert re.search(r"^FAIL path p-invariant fails at \d+@\d+ over \[", out, re.M)
+    # the images are untouched, so every other check passes
+    failures = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert all("path p-invariant fails" in line for line in failures)
+
+
+def test_one_phi_image_per_v_fails_injectivity(monkeypatch, capsys):
+    _one_image_per_v_fault(monkeypatch)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert re.search(r"^FAIL phi_r not injective at v=\[.*\] r=\d$", out, re.M)
+    assert out.endswith("verification FAILED\n")
+
+
+def test_moved_image_bit_fails_the_length_profile(monkeypatch, capsys):
+    _image_bit_fault(monkeypatch)
+    status, out = _verify_bijection(capsys)
+    assert status == 1
+    assert re.search(r"^FAIL length profile changed at \d+/\d+ over \[.*\]$", out, re.M)
+    # phi and the backward halves are untouched
+    assert "phi_r" not in out and "round trip fails" not in out and "invariant" not in out
+
+
+# exit status and stdout SHA-256 of `verify -n 3 --max-length 3 bijection`
+# under each fault, recorded at 2a8a804 (before the word-level and
+# factor-level checks became one check per (v, r))
+BIJECTION_FAULT_GOLDENS = {
+    "all-ones backward walk": "1bbefc3d5d2dc79488e77c6534e814a84316805022a61260b78eb62b325ddeb2",
+    "round trip backward half": "be5b3fa2fefb79110b87095619323738eec60a64f825902053c77c44ee633280",
+    "phi identity": "77c8c40e0bec48ee822752cdb872b2dfc148e4965781c58afe3e0a700347ce85",
+    "path mark": "a88d855b12abb7443515f41b4d235a8c00e598b60146a55784417aea062e063f",
+    "one image per v": "2bde6b796161b1c81cf69da75337097acdc3717d92c549ff34fc8d46cc4b8563",
+    "image bit": "56a03e468e2f5a84b77a68c001e175236e942145c9aa0132e31d13cfeabf7861",
+}
+
+
+@pytest.mark.parametrize("fault", BIJECTION_FAULTS)
+def test_bijection_failure_output_matches_recorded_golden(fault, monkeypatch, capsys):
+    BIJECTION_FAULTS[fault](monkeypatch)
+    status, out = _verify_bijection(capsys, max_length=3)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (status, digest) == (1, BIJECTION_FAULT_GOLDENS[fault])
+
+
+def _unequal_first_report(monkeypatch, name, field):
+    # the first report of the sweep gets one side of its identity doubled
+    real, calls = getattr(affsym.verify, name), []
+
+    def perturbed(v, residues):
+        reports = real(v, residues)
+        if not calls:
+            setattr(reports[0], field, getattr(reports[0], field).scaled(2))
+        calls.append(v)
+        return reports
+
+    monkeypatch.setattr(affsym.verify, name, perturbed)
+
+
+TABLE_FAULTS = {
+    "garsia-little": (
+        "garsia_little_reports",
+        "plus_table",
+        "cover-sum identity fails at v=[1,2,3] r=0: minus={(1,): 1} plus={(1,): 2}",
+    ),
+    "chevalley": (
+        "chevalley_reports",
+        "right_table",
+        "degree-one product rule fails at v=[1,2,3] r=0: left={(1,): 1} right={(1,): 2}",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", TABLE_FAULTS)
+def test_unequal_table_report_fails_only_its_suite(suite, monkeypatch, capsys):
+    name, field, failure = TABLE_FAULTS[suite]
+    _unequal_first_report(monkeypatch, name, field)
+    status = main(["verify", "-n", "3", "--max-length", "2", "all"])
+    out = capsys.readouterr().out
+    assert status == 1
+    suites = [
+        f"{other}: 30 instances, {'1 FAILED' if other == suite else 'ok'}"
+        for other in ("garsia-little", "chevalley", "bijection")
+    ]
+    assert out.splitlines() == suites + [
+        "exchange-random: 200 instances, ok",
+        f"FAIL {failure}",
+        "verification FAILED",
+    ]
 
 
 def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
