@@ -15,12 +15,7 @@ import sys
 
 from .errors import ComputationError, DomainError, InputError
 from .group import covers_above, format_window, is_r_cover, parse_window
-from .little import (
-    generalized_little,
-    little_trace,
-    parse_decomposition,
-    parse_marked_word,
-)
+from .little import MarkedWord, generalized_little, little_trace, parse_decomposition
 from .stanley import expand_in_affine_schur, stanley_table
 from .verify import (
     bijection_sweep,
@@ -91,8 +86,7 @@ def cmd_little(args) -> int:
     if not is_reduced(v_word):
         raise DomainError(f"v word {v_word} is not reduced")
     v = evaluate(v_word)
-    marked = parse_marked_word(n, f"{args.word}@{args.mark}")
-    rows = little_trace(v, marked)
+    rows = little_trace(v, MarkedWord(parse_word(n, args.word), args.mark))
     if args.json:
         _emit_json(
             {

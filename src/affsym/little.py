@@ -27,8 +27,10 @@ per call, unless the caller hands `phi` its own; the bijection sweep
 shares one among all walks over one v, `phi`'s included, and
 `little_trace` reads each vertex's (p, q) pair from the table its `phi`
 walk filled.  The public functions validate their input once, at
-entry; `cover_walk` (one walk) and `round_trip` (forward, then back
-from where it ended) serve callers that hold covers by construction.
+entry.  `walks` is the one entry to the factor walk for callers that
+hold covers by construction: it walks each of a list of starts once
+per direction, each walk from where the last ended, so a round trip is
+the directions (True, False).
 
 Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
@@ -226,41 +228,32 @@ def _walk(
     return None
 
 
-def _cover_walks(n: int, masks, sizes, t: tuple[int, int], directions, table):
-    """Walk the word of the factor masks once per direction, each walk
-    from where the last ended, reading records from table as _walk does.
-    Each walk starts at the unique position of a normal pair (strong
-    exchange): t = (a, b) first, then the pair t' at the last walk's
-    final mark.  Returns each walk's final masks and t'."""
-    masks = list(masks)
-    word = [a for mask in masks for a in cd_letters(n, mask)]
-    letters = tuple(word)
-    record, ends = table(n, letters), []
-    for forward in directions:
-        end = _walk(n, sizes, masks, word, reflection_index(n, letters, record, t), forward, table)
-        if end is None:
-            raise CycleOverflowError("generalized walk exceeded its cap")
-        position, letters, record = end
-        t = reflection_pair(n, *record.sequence[position - 1])
-        ends.append((tuple(masks), t))
-    return ends
-
-
-def cover_walk(v: AffinePermutation, masks, sizes, t: tuple[int, int], forward: bool, table):
-    """The kernel's entry point for one walk of the cover v * t_{a,b}
-    given by factor masks of the given sizes, t = (a, b) in Reflection's
-    normal form: returns the image's masks and the normal pair t' at its
-    mark, so that the image evaluates to v * t'.  Nothing else is
-    checked: the callers hold covers by construction."""
-    return _cover_walks(v.n, masks, sizes, t, (forward,), table)[0]
-
-
-def round_trip(v: AffinePermutation, masks, sizes, t: tuple[int, int], table):
-    """cover_walk forward, then backward from the image's final word,
-    masks and record; returns the image's masks, t' and the masks the
-    backward walk ends at, which are the given ones for a bijection."""
-    (image, t_out), (back, _) = _cover_walks(v.n, masks, sizes, t, (True, False), table)
-    return image, t_out, back
+def walks(n: int, starts, sizes, directions, table):
+    """Walk the word of each start's factor masks, of the given sizes,
+    once per direction (True forward), each walk from where the last
+    ended, reading records from table as _walk does.  A start is the
+    masks of a cover v * t_{a,b} and t = (a, b), its normal pair; each
+    walk starts at the unique position of a normal pair (strong
+    exchange): t first, then the pair t' at the last walk's final mark,
+    so that the walk's image evaluates to v * t'.  Returns, per start,
+    each walk's final masks and t'.  Nothing else is checked: the
+    callers hold covers by construction."""
+    out = []
+    for masks, t in starts:
+        masks = list(masks)
+        word = [a for mask in masks for a in cd_letters(n, mask)]
+        letters = tuple(word)
+        record, ends = table(n, letters), []
+        for forward in directions:
+            position = reflection_index(n, letters, record, t)
+            end = _walk(n, sizes, masks, word, position, forward, table)
+            if end is None:
+                raise CycleOverflowError("generalized walk exceeded its cap")
+            position, letters, record = end
+            t = reflection_pair(n, *record.sequence[position - 1])
+            ends.append((tuple(masks), t))
+        out.append(ends)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +449,8 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     t = _require_r_cover(v, r, d.product(), side)
-    masks = [subset_mask(f.members) for f in d.factors]
-    masks, _ = cover_walk(v, masks, d.alpha, t, side == "right", functools.cache(word_record))
+    start = ([subset_mask(f.members) for f in d.factors], t)
+    [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",), functools.cache(word_record))
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:
         raise InvariantError(f"length profile changed from {d} to {out}")

@@ -8,10 +8,12 @@ profile by profile, against independent enumeration.  A level's store
 holds, per cover w, its alpha-decompositions at every profile from one
 peel pass.  The all-ones ones are the reduced words of w, so the
 word-level bijection is the alpha = (1, ..., 1) case, where the forward
-walk is the public `phi`; every other decomposition takes one
-`round_trip`.  The walks over one v and the path invariants read each
-word's reflection record from one table, built on first use and dropped
-when v is done; the walks are told their factor sizes.
+walk is the public `phi`.  Each profile walks its decompositions in one
+call of the kernel entry `walks`, there and back, or back from `phi`'s
+images, and one loop checks them all.  The walks over one v and the
+path invariants read each word's reflection record from one table,
+built on first use and dropped when v is done; the walks are told their
+factor sizes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .group import (
     reflection_pair,
     simple,
 )
-from .little import MarkedWord, cover_walk, phi, round_trip
+from .little import MarkedWord, phi, walks
 from .stanley import (
     chevalley_reports,
     compositions_bounded,
@@ -82,63 +84,59 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
     """The cover-sum bijection at (v, r), one profile alpha at a time.
     plus and minus pair each cover's store entry (its decompositions as
     factor masks per profile) with the normal (a, b) pair of its
-    reflection, which keys its images.  At alpha = (1, ..., 1) the
-    forward walk is phi, whose images and paths also make the word-level
-    check (failures first; words stand for their elements, as distinct
-    elements have disjoint sets of reduced words); every other
-    decomposition takes one round trip.  Walks read table."""
+    reflection, which keys its images.  Each profile walks all its
+    decompositions forward and back in one `walks` call, except that at
+    alpha = (1, ..., 1) the forward walk is phi, whose images and paths
+    also make the word-level check (failures first; words stand for
+    their elements, as distinct elements have disjoint sets of reduced
+    words), and one call walks its images back.  One loop then checks
+    every image's profile, its way back and the image set.  Walks read
+    table."""
     n, ones = v.n, (1,) * (v.length() + 1)
+    over, at = f"over {format_window(v)}", f"at v={format_window(v)} r={r}"
     word_failures, failures = [], []
     for alpha in profiles:
         expected = {(t, d) for entry, t in minus for d in entry[alpha]}
-        words, images = {d for _, d in expected} if alpha == ones else None, []
-        for entry, t in plus:
-            for d in entry[alpha]:
-                if alpha != ones:
-                    out, t_out, back = round_trip(v, d, alpha, t, table)
-                else:
-                    letters = tuple(mask.bit_length() - 1 for mask in d)
-                    k = reflection_index(n, letters, table(n, letters), t)
-                    m = MarkedWord(Word(n, letters), k)
-                    c, path = phi(v, m, table=table)
-                    out = tuple(1 << a for a in c.word.letters)
-                    if out not in words:
-                        word_failures.append(
-                            f"phi_r image {c.word}@{format_window(evaluate(c.word))} outside "
-                            f"the left covers of v={format_window(v)} r={r}"
-                        )
-                    # the (p, q) pair at each vertex's mark, as pq reads it
-                    pairs = [table(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
-                    for vertex, (p, _) in zip([m] + path[:-1], pairs):
-                        if (p - r) % n != 0:
-                            word_failures.append(
-                                f"path p-invariant fails at {vertex} over {format_window(v)}"
-                            )
-                    if (pairs[-1][1] - r) % n != 0:
-                        word_failures.append(
-                            f"path q-invariant fails at {path[-1]} over {format_window(v)}"
-                        )
-                    t_out = reflection_pair(n, *pairs[-1])
-                    back = cover_walk(v, out, alpha, t_out, False, table)[0]
-                if tuple(map(int.bit_count, out)) != alpha:
-                    failures.append(
-                        f"length profile changed at {_format_masks(n, d)} over {format_window(v)}"
+        starts = [(d, t) for entry, t in plus for d in entry[alpha]]
+        if alpha != ones:
+            ends = walks(n, starts, alpha, (True, False), table)
+        else:
+            words, forward = {d for _, d in expected}, []
+            for d, t in starts:
+                letters = tuple(mask.bit_length() - 1 for mask in d)
+                k = reflection_index(n, letters, table(n, letters), t)
+                m = MarkedWord(Word(n, letters), k)
+                c, path = phi(v, m, table=table)
+                out = tuple(1 << a for a in c.word.letters)
+                if out not in words:
+                    word_failures.append(
+                        f"phi_r image {c.word}@{format_window(evaluate(c.word))} outside "
+                        f"the left covers of v={format_window(v)} r={r}"
                     )
-                if back != d:
-                    failures.append(
-                        f"round trip fails at {_format_masks(n, d)} over {format_window(v)} r={r}"
-                    )
-                images.append((t_out, out))
-        if alpha == ones:
-            outs = [out for _, out in images]
+                # the (p, q) pair at each vertex's mark, as pq reads it
+                pairs = [table(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
+                for vertex, (p, _) in zip([m] + path[:-1], pairs):
+                    if (p - r) % n != 0:
+                        word_failures.append(f"path p-invariant fails at {vertex} {over}")
+                if (pairs[-1][1] - r) % n != 0:
+                    word_failures.append(f"path q-invariant fails at {path[-1]} {over}")
+                forward.append((out, reflection_pair(n, *pairs[-1])))
+            backs = walks(n, forward, alpha, (False,), table)
+            ends = [[image, *back] for image, back in zip(forward, backs)]
+            outs = [out for out, _ in forward]
             if len(set(outs)) != len(outs):
-                word_failures.append(f"phi_r not injective at v={format_window(v)} r={r}")
+                word_failures.append(f"phi_r not injective {at}")
             if set(outs) != words:
-                word_failures.append(f"phi_r not surjective at v={format_window(v)} r={r}")
+                word_failures.append(f"phi_r not surjective {at}")
+        images = []
+        for (d, _), ((out, t_out), (back, _)) in zip(starts, ends):
+            if tuple(map(int.bit_count, out)) != alpha:
+                failures.append(f"length profile changed at {_format_masks(n, d)} {over}")
+            if back != d:
+                failures.append(f"round trip fails at {_format_masks(n, d)} {over} r={r}")
+            images.append((t_out, out))
         if len(set(images)) != len(images) or set(images) != expected:
-            failures.append(
-                f"factor-level map not bijective at v={format_window(v)} r={r} alpha={alpha}"
-            )
+            failures.append(f"factor-level map not bijective {at} alpha={alpha}")
     return word_failures + failures
 
 

@@ -78,19 +78,17 @@ def format_letters(n: int, letters) -> str:
 
 
 def parse_word(n: int, text: str) -> Word:
-    """Parse the digit-string (n <= 10) or comma-separated word format."""
+    """Parse the digit-string (n <= 10) or comma-separated word format;
+    for n > 10, text without a comma is one letter."""
     text = text.strip()
     if text == "":
         return Word(n, ())
     try:
-        if "," in text:
-            letters = tuple(int(part) for part in text.split(","))
-        elif n <= 10:
-            letters = tuple(int(ch) for ch in text)
-        else:
-            raise FormatError(f"period {n} words must be comma-separated: {text!r}")
+        letters = tuple(map(int, text.split(",") if "," in text or n > 10 else text))
     except ValueError as exc:
         raise FormatError(f"bad word text {text!r}") from exc
+    if n > 10 and "," not in text and letters[0] >= n:
+        raise FormatError(f"period {n} words must be comma-separated: {text!r}")
     return Word(n, letters)
 
 

@@ -128,6 +128,26 @@ def test_little_single_step(capsys):
     assert lines[-1].startswith("4@1")
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("little", "-n", "11", "-v", "1", "-a", "1,0", "-i", "2"),
+         "1,0@2  p=11  q=12\n1,10@2  p=10  q=11\n"),
+        (("generalized-little", "-n", "11", "-v", "[1,2,3,4,5,6,7,8,9,10,11]", "-r", "1",
+          "-d", "1"), "0 [0,2,3,4,5,6,7,8,9,10,12]\n"),
+    ],
+    ids=["little", "generalized-little"],
+)
+def test_one_letter_words_parse_past_period_ten(capsys, argv, expected):
+    # the v of `little` and the factor of `generalized-little` are one letter
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_little_bad_word_reports_the_word_as_typed(capsys):
+    code, out, err = run_cli(capsys, "little", "-n", "3", "-v", "12", "-a", "12@1", "-i", "1")
+    assert (code, out, err) == (2, "", "error: bad word text '12@1'\n")
+
+
 def test_little_not_marked_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "3"

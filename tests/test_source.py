@@ -31,3 +31,23 @@ def test_no_unused_imports_in_source(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"unused imports in {path.name}: {unused}"
+
+
+def test_every_top_level_definition_is_referenced():
+    # a function or class defined at the top of a module is read by name
+    # somewhere in the package, or re-exported by __init__.py; dead code
+    # goes with the code that stopped calling it
+    defined, referenced = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "__init__.py":
+            referenced |= {
+                alias.asname or alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)
+            }
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unreferenced = {name: where for name, where in defined.items() if name not in referenced}
+    assert unreferenced == {}, f"top-level definitions referenced nowhere: {unreferenced}"

@@ -62,35 +62,26 @@ def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
 
 
 def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
-    # phi is the one forward all-ones walk: the factor-level check takes
-    # its images and only walks them back; every other decomposition takes
-    # one round trip, whose forward half is its only forward walk
+    # phi is the one forward all-ones walk: the all-ones profile walks
+    # only its images back; every other profile takes round trips, whose
+    # forward halves are its only forward walks.  Starts are counted per
+    # tuple of directions.
     calls = collections.Counter()
-    real_phi, real_walk, real_trip = (
-        affsym.verify.phi,
-        affsym.verify.cover_walk,
-        affsym.verify.round_trip,
-    )
+    real_phi, real_walks = affsym.verify.phi, affsym.verify.walks
 
     def counting_phi(v, m, **kwargs):
         calls["phi"] += 1
         return real_phi(v, m, **kwargs)
 
-    def counting_walk(v, masks, sizes, t, forward, table):
-        calls["backward" if not forward else "forward"] += 1
-        calls["all-ones forward"] += forward and set(sizes) == {1}
-        return real_walk(v, masks, sizes, t, forward, table)
-
-    def counting_trip(v, masks, sizes, t, table):
-        calls["round trip"] += 1
-        calls["all-ones forward"] += set(sizes) == {1}
-        return real_trip(v, masks, sizes, t, table)
+    def counting_walks(n, starts, sizes, directions, table):
+        calls[directions] += len(starts)
+        calls["all-ones forward"] += len(starts) * (True in directions and set(sizes) == {1})
+        return real_walks(n, starts, sizes, directions, table)
 
     monkeypatch.setattr(affsym.verify, "phi", counting_phi)
-    monkeypatch.setattr(affsym.verify, "cover_walk", counting_walk)
-    monkeypatch.setattr(affsym.verify, "round_trip", counting_trip)
+    monkeypatch.setattr(affsym.verify, "walks", counting_walks)
     assert bijection_sweep(4, 4) == (276, [])
-    assert calls == {"phi": 1124, "backward": 1124, "round trip": 3096, "all-ones forward": 0}
+    assert calls == {"phi": 1124, (True, False): 3096, (False,): 1124, "all-ones forward": 0}
 
 
 def _verify_bijection(capsys, max_length=2):
@@ -102,16 +93,25 @@ def _verify_bijection(capsys, max_length=2):
 # sweep's checks must catch it.
 
 
+def _perturbed_walks(monkeypatch, change):
+    # each walk's final masks become change(forward, sizes, masks)
+    real = affsym.verify.walks
+
+    def perturbed(n, starts, sizes, directions, table):
+        return [
+            [(change(forward, sizes, out), t) for forward, (out, t) in zip(directions, ends)]
+            for ends in real(n, starts, sizes, directions, table)
+        ]
+
+    monkeypatch.setattr(affsym.verify, "walks", perturbed)
+
+
 def _all_ones_backward_fault(monkeypatch):
-    real = affsym.verify.cover_walk
+    # every backward all-ones walk ends with its factors rotated by one
+    def rotated(forward, sizes, out):
+        return out[1:] + out[:1] if not forward and set(sizes) == {1} else out
 
-    def perturbed(v, masks, sizes, t, forward, table):
-        out, t_out = real(v, masks, sizes, t, forward, table)
-        if not forward and set(sizes) == {1}:
-            out = out[1:] + out[:1]
-        return out, t_out
-
-    monkeypatch.setattr(affsym.verify, "cover_walk", perturbed)
+    _perturbed_walks(monkeypatch, rotated)
 
 
 def _round_trip_backward_fault(monkeypatch):
@@ -164,17 +164,15 @@ def _one_image_per_v_fault(monkeypatch):
 
 
 def _image_bit_fault(monkeypatch):
-    # a round trip's image gives its first factor's lowest letter to the second
-    real = affsym.verify.round_trip
+    # a forward walk's image gives its first factor's lowest letter to the
+    # second; the sweep walks forward only in its round trips
+    def moved(forward, sizes, out):
+        if not forward or len(out) < 2:
+            return out
+        bit = out[0] & -out[0]
+        return (out[0] ^ bit, out[1] | bit) + out[2:]
 
-    def perturbed(v, masks, sizes, t, table):
-        image, t_out, back = real(v, masks, sizes, t, table)
-        if len(image) > 1:
-            bit = image[0] & -image[0]
-            image = (image[0] ^ bit, image[1] | bit) + image[2:]
-        return image, t_out, back
-
-    monkeypatch.setattr(affsym.verify, "round_trip", perturbed)
+    _perturbed_walks(monkeypatch, moved)
 
 
 BIJECTION_FAULTS = {

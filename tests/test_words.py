@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import affsym.words
 from affsym.errors import (
     BadLetterError,
+    FormatError,
     FullSetError,
     InvariantError,
     MarkDeletionNotReducedError,
@@ -186,6 +187,24 @@ def positions_oracle(n, sequence, p, q):
         for j, (x, y) in enumerate(sequence, 1)
         if (y - x == gap and (x - low) % n == 0) or (x - y == gap and (y - low) % n == 0)
     ]
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_parse_word_reads_formatted_short_words(n):
+    # past n = 10 words print comma-separated, and a one-letter word has
+    # no comma to split on
+    for length in range(3):
+        for letters in itertools.product(range(n), repeat=length):
+            assert parse_word(n, format_letters(n, letters)) == Word(n, letters)
+
+
+def test_parse_word_messages_at_large_period():
+    with pytest.raises(FormatError, match=r"^period 11 words must be comma-separated: '123'$"):
+        parse_word(11, "123")
+    with pytest.raises(FormatError, match=r"^bad word text '1x'$"):
+        parse_word(11, "1x")
+    with pytest.raises(BadLetterError):
+        parse_word(11, "1,11")
 
 
 @given(reduced_word_inputs)
