@@ -22,6 +22,7 @@ from .verify import (
     chevalley_sweep,
     exchange_spot_checks,
     garsia_little_sweep,
+    sweep_ball,
 )
 from .words import evaluate, is_reduced, parse_word, reduced_words
 
@@ -164,6 +165,7 @@ def cmd_expand(args) -> int:
     return 0
 
 
+# One sweep per suite, in output order; `all` runs them as one sweep_ball pass.
 _SUITES = {
     "garsia-little": garsia_little_sweep,
     "chevalley": chevalley_sweep,
@@ -175,27 +177,22 @@ def cmd_verify(args) -> int:
     n = _require_period(args.n)
     if args.max_length < 0:
         raise InputError(f"max length must be nonnegative, got {args.max_length}")
-    names = list(_SUITES) if args.which == "all" else [args.which]
-    summary = {}
-    all_failures = []
-    for name in names:
-        count, failures = _SUITES[name](n, args.max_length)
-        summary[name] = {"instances": count, "failures": failures}
-        all_failures.extend(failures)
     if args.which == "all":
-        count, failures = exchange_spot_checks(n, samples=200, seed=args.seed)
-        summary["exchange-random"] = {"instances": count, "failures": failures}
-        all_failures.extend(failures)
+        results = sweep_ball(n, args.max_length, list(_SUITES))
+        results["exchange-random"] = exchange_spot_checks(n, samples=200, seed=args.seed)
+    else:
+        results = {args.which: _SUITES[args.which](n, args.max_length)}
+    all_failures = [failure for _, failures in results.values() for failure in failures]
     passed = not all_failures
     if args.json:
+        summary = {name: {"instances": c, "failures": f} for name, (c, f) in results.items()}
         _emit_json(
             {"n": n, "max_length": args.max_length, "suites": summary, "passed": passed}
         )
     else:
-        for name in summary:
-            entry = summary[name]
-            status = "ok" if not entry["failures"] else f"{len(entry['failures'])} FAILED"
-            print(f"{name}: {entry['instances']} instances, {status}")
+        for name, (count, failures) in results.items():
+            status = f"{len(failures)} FAILED" if failures else "ok"
+            print(f"{name}: {count} instances, {status}")
         for failure in all_failures:
             print(f"FAIL {failure}")
         print("all checks passed" if passed else "verification FAILED")

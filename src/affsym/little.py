@@ -440,10 +440,14 @@ class AlphaDecomposition(Value):
 
 
 def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
-    """Parse slash-separated factor subsets, e.g. `34/02/1`."""
+    """Parse slash-separated factor subsets, e.g. `34/02/1`; a letter
+    repeated within a factor is a FormatError."""
     factors = []
     for part in text.strip().split("/"):
-        factors.append(CyclicSubset(n, parse_word(n, part).letters))
+        letters = parse_word(n, part).letters
+        if len(set(letters)) < len(letters):
+            raise FormatError(f"factor {part!r} repeats a letter")
+        factors.append(CyclicSubset(n, letters))
     return AlphaDecomposition(n, tuple(factors))
 
 

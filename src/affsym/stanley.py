@@ -19,6 +19,8 @@ it shares no arithmetic with the counts it guards.
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
 in exact integer/rational arithmetic; no floating point anywhere.  The
+identity reports take the covers of v from their caller, so a sweep
+computes them once per v for every suite.  The
 Grassmannian tables are unitriangular in lexicographic order of their
 labels (checked at runtime), so an expansion is an integer
 back-substitution.
@@ -325,17 +327,18 @@ def check_garsia_little(v: AffinePermutation, r: int) -> GarsiaLittleReport:
     Counts come from factorization counting only, independent of the
     bijection machinery.
     """
-    return garsia_little_reports(v, [r])[0]
+    return garsia_little_reports(v, covers_above(v), [r])[0]
 
 
-def garsia_little_reports(v: AffinePermutation, residues) -> list[GarsiaLittleReport]:
-    """check_garsia_little at each residue, with the covers of v computed once."""
-    covers = covers_above(v)
+def garsia_little_reports(v: AffinePermutation, covers, residues) -> list[GarsiaLittleReport]:
+    """check_garsia_little at each residue, from covers, the (w, t) pairs
+    of covers_above(v); the table of each cover is computed once."""
+    tables = [(w, t, stanley_table(w)) for w, t in covers]
     zero = CoefficientTable.zero(v.n, v.length() + 1)
 
     def cover_sum(r, side):
-        chosen = [w for w, t in covers if is_r_cover(t, r, side)]
-        return chosen, sum((stanley_table(w) for w in chosen), zero)
+        chosen = [(w, table) for w, t, table in tables if is_r_cover(t, r, side)]
+        return [w for w, _ in chosen], sum((table for _, table in chosen), zero)
 
     reports = []
     for r in residues:
@@ -368,19 +371,20 @@ class ChevalleyReport(Record):
 def check_chevalley(v: AffinePermutation, r: int) -> ChevalleyReport:
     """Compare s_1 times the table of v against the cover sum weighted by
     the Chevalley coefficients, on partitions with parts <= n-1."""
-    return chevalley_reports(v, [r])[0]
+    return chevalley_reports(v, covers_above(v), [r])[0]
 
 
-def chevalley_reports(v: AffinePermutation, residues) -> list[ChevalleyReport]:
-    """check_chevalley at each residue, with the covers of v, s_1 times
-    its table and the table of each cover computed once."""
+def chevalley_reports(v: AffinePermutation, covers, residues) -> list[ChevalleyReport]:
+    """check_chevalley at each residue, from covers, the (w, t) pairs of
+    covers_above(v); s_1 times the table of v and the table of each
+    cover are computed once."""
     left = multiply_by_s1(stanley_table(v))
-    covers = [(w, t, stanley_table(w)) for w, t in covers_above(v)]
+    tables = [(w, t, stanley_table(w)) for w, t in covers]
     reports = []
     for r in residues:
         right = CoefficientTable.zero(v.n, v.length() + 1)
         terms = []
-        for w, t, table in covers:
+        for w, t, table in tables:
             c = residue_count(t, r)
             if c:
                 terms.append((w, c))

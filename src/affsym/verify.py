@@ -1,19 +1,20 @@
 """Exhaustive desk-scale verification sweeps.
 
-Each sweep walks every (v, r) with l(v) bounded, in a deterministic
-order, and returns the instance count plus a list of human-readable
-failure descriptions.  The identity sweeps count factorizations only;
-the bijection sweep checks the factor-level Little map once per (v, r),
-profile by profile, against independent enumeration.  A level's store
-holds, per cover w, its alpha-decompositions at every profile from one
-peel pass.  The all-ones ones are the reduced words of w, so the
-word-level bijection is the alpha = (1, ..., 1) case, where the forward
-walk is the public `phi`.  Each profile walks its decompositions in one
-call of the kernel entry `walks`, there and back, or back from `phi`'s
-images, and one loop checks them all.  The walks over one v and the
-path invariants read each word's reflection record from one table,
-built on first use and dropped when v is done; the walks are told their
-factor sizes.
+One pass walks every v with l(v) bounded, level by level in a
+deterministic order, and computes the covers of each v once; every
+requested suite checks (v, r) for each residue r from those covers and
+keeps its own failure list of human-readable descriptions.  The counting
+suites compare factorization counts only; the bijection suite checks the
+factor-level Little map once per (v, r), profile by profile, against
+independent enumeration.  A level's store holds, per cover w, its
+alpha-decompositions at every profile from one peel pass.  The all-ones
+ones are the reduced words of w, so the word-level bijection is the
+alpha = (1, ..., 1) case, where the forward walk is the public `phi`.
+Each profile walks its decompositions in one call of the kernel entry
+`walks`, there and back, or back from `phi`'s images, and one loop
+checks them all.  The walks over one v and the path invariants read each
+word's reflection record from one table, built on first use and dropped
+when v is done; the walks are told their factor sizes.
 """
 
 from __future__ import annotations
@@ -47,33 +48,6 @@ from .words import (
     reflection_index,
     word_record,
 )
-
-
-def _table_sweep(n: int, max_length: int, reports, name: str, sides) -> tuple[int, list[str]]:
-    """Sweep reports(v, residues); a failure prints each side's table."""
-    count, failures = 0, []
-    for level in bruhat_ball(n, max_length):
-        for v in level:
-            for report in reports(v, range(n)):
-                count += 1
-                if not report.equal:
-                    tables = " ".join(f"{s}={getattr(report, s + '_table').entries}" for s in sides)
-                    failures.append(f"{name} fails at v={format_window(v)} r={report.r}: {tables}")
-    return count, failures
-
-
-def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """The covers of v are computed once per v and shared by every
-    residue r."""
-    sides = ("minus", "plus")
-    return _table_sweep(n, max_length, garsia_little_reports, "cover-sum identity", sides)
-
-
-def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """The tables of v and of its covers are computed once per v and
-    shared by every residue r."""
-    sides = ("left", "right")
-    return _table_sweep(n, max_length, chevalley_reports, "degree-one product rule", sides)
 
 
 def _format_masks(n: int, masks) -> str:
@@ -140,29 +114,88 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
     return word_failures + failures
 
 
-def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """Covers are computed once per v, each resolved once to its store
-    entry and the (a, b) pair of its reflection and filed under the
-    residues of a (right r-covers) and of b (left), so no check hashes
-    an element.  A cover's alpha-decompositions, every profile at once,
-    are found once per level, in a store dropped with the level; each
-    word's word_record once per v, in a table dropped with v."""
-    count, failures = 0, []
+def _table_failures(name: str, sides, reports) -> list[str]:
+    """A failure per unequal report, printing each side's table."""
+    return [
+        f"{name} fails at v={format_window(report.v)} r={report.r}: "
+        + " ".join(f"{s}={getattr(report, s + '_table').entries}" for s in sides)
+        for report in reports
+        if not report.equal
+    ]
+
+
+def _cover_sum_level(n: int, length: int):
+    return lambda v, covers: _table_failures(
+        "cover-sum identity", ("minus", "plus"), garsia_little_reports(v, covers, range(n))
+    )
+
+
+def _chevalley_level(n: int, length: int):
+    return lambda v, covers: _table_failures(
+        "degree-one product rule", ("left", "right"), chevalley_reports(v, covers, range(n))
+    )
+
+
+def _bijection_level(n: int, length: int):
+    """Each cover is resolved once per v to its store entry and the (a, b)
+    pair of its reflection and filed under the residues of a (right
+    r-covers) and of b (left), so no check hashes an element.  A cover's
+    alpha-decompositions, every profile at once, are found once per
+    level, in a store dropped with the level; each word's word_record
+    once per v, in a table dropped with v."""
+    store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
+
+    def check(v, covers):
+        plus, minus = [[] for _ in range(n)], [[] for _ in range(n)]
+        for w, t in covers:
+            entry = store.get(w)
+            if entry is None:
+                entry = store[w] = decomposition_masks(w, profiles)
+            plus[t.a % n].append((entry, (t.a, t.b)))
+            minus[t.b % n].append((entry, (t.a, t.b)))
+        table, failures = functools.cache(word_record), []
+        for r in range(n):
+            failures += _bijection_check(v, r, plus[r], minus[r], profiles, table)
+        return failures
+
+    return check
+
+
+# Per suite, a function of (n, length) that starts a level and returns
+# its check of (v, covers of v), which lists the failures at v.
+_LEVELS = {
+    "garsia-little": _cover_sum_level,
+    "chevalley": _chevalley_level,
+    "bijection": _bijection_level,
+}
+
+
+def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]]]:
+    """Each named suite's (instance count, failures) over the Bruhat ball
+    of radius max_length: one pass, level by level, with the covers of
+    each v computed once and handed to every suite, which checks all n
+    residues r at v."""
+    failures, count = {name: [] for name in names}, 0
     for length, level in enumerate(bruhat_ball(n, max_length)):
-        store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
+        checks = [(_LEVELS[name](n, length), found) for name, found in failures.items()]
         for v in level:
-            plus, minus = [[] for _ in range(n)], [[] for _ in range(n)]
-            for w, t in covers_above(v):
-                entry = store.get(w)
-                if entry is None:
-                    entry = store[w] = decomposition_masks(w, profiles)
-                plus[t.a % n].append((entry, (t.a, t.b)))
-                minus[t.b % n].append((entry, (t.a, t.b)))
-            table = functools.cache(word_record)
-            for r in range(n):
-                count += 1
-                failures += _bijection_check(v, r, plus[r], minus[r], profiles, table)
-    return count, failures
+            covers = covers_above(v)
+            count += n
+            for check, found in checks:
+                found += check(v, covers)
+    return {name: (count, found) for name, found in failures.items()}
+
+
+def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    return sweep_ball(n, max_length, ["garsia-little"])["garsia-little"]
+
+
+def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    return sweep_ball(n, max_length, ["chevalley"])["chevalley"]
+
+
+def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    return sweep_ball(n, max_length, ["bijection"])["bijection"]
 
 
 def _random_reduced_word(rng: random.Random, n: int) -> Word:

@@ -264,6 +264,17 @@ def test_generalized_little_bad_cover_exits_3(capsys):
     assert code == 3 and err
 
 
+@pytest.mark.parametrize("decomposition", ["11", "1,1", "0/11"])
+def test_generalized_little_repeated_letter_in_a_factor_exits_2(capsys, decomposition):
+    # a factor is a set of residues: a repeated letter is a typo, not {1}
+    code, out, err = run_cli(
+        capsys, "generalized-little", "-n", "3", "-v", "[1,2,3]", "-r", "1",
+        "-d", decomposition,
+    )
+    factor = decomposition.split("/")[-1]
+    assert (code, out, err) == (2, "", f"error: factor {factor!r} repeats a letter\n")
+
+
 # ---------------------------------------------------------------------------
 # tables and expansion
 

@@ -10,6 +10,7 @@ import pytest
 
 import affsym.group
 import affsym.stanley as stanley_module
+import affsym.verify
 from affsym.cli import main
 from affsym.errors import (
     DegreeMismatchError,
@@ -463,7 +464,7 @@ def _per_residue_chevalley(v, r):
 def test_chevalley_reports_match_per_residue_oracle(n):
     for l in range(4):
         for v in elements_of_length(n, l):
-            reports = chevalley_reports(v, range(n))
+            reports = chevalley_reports(v, covers_above(v), range(n))
             assert [report.r for report in reports] == list(range(n))
             for report in reports:
                 expected = _per_residue_chevalley(v, report.r)
@@ -472,8 +473,8 @@ def test_chevalley_reports_match_per_residue_oracle(n):
 
 def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
     calls = []
-    real = stanley_module.covers_above
-    monkeypatch.setattr(stanley_module, "covers_above", lambda v: calls.append(v) or real(v))
+    real = affsym.verify.covers_above
+    monkeypatch.setattr(affsym.verify, "covers_above", lambda v: calls.append(v) or real(v))
     assert chevalley_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
     assert calls == [v for level in bruhat_ball(4, 3) for v in level]
 
@@ -481,13 +482,25 @@ def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
 def test_garsia_little_sweep_computes_covers_once_per_element(monkeypatch):
     # 69 elements of length <= 4 at n = 4, one cover list each for all r
     calls = []
-    for module in (affsym.group, stanley_module):
+    for module in (affsym.group, stanley_module, affsym.verify):
         real = module.covers_above
         counting = lambda v, real=real: calls.append(v) or real(v)
         monkeypatch.setattr(module, "covers_above", counting)
     assert garsia_little_sweep(4, 4) == (4 * 69, [])
     assert calls == [v for level in bruhat_ball(4, 4) for v in level]
     assert len(calls) == 69
+
+
+def test_garsia_little_sweep_computes_each_cover_table_once_per_element(monkeypatch, capsys):
+    # one table per cover of each v, shared by both sides of every residue
+    calls = []
+    real = stanley_module.stanley_table
+    monkeypatch.setattr(stanley_module, "stanley_table", lambda w: calls.append(w) or real(w))
+    assert main(["verify", "-n", "4", "--max-length", "4", "garsia-little"]) == 0
+    assert capsys.readouterr().out == "garsia-little: 276 instances, ok\nall checks passed\n"
+    covers = [w for level in bruhat_ball(4, 4) for v in level for w, _ in covers_above(v)]
+    assert calls == covers
+    assert len(calls) == 416
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

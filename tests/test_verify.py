@@ -6,13 +6,21 @@ from pathlib import Path
 
 import pytest
 
+import affsym.group
 import affsym.little
+import affsym.stanley
 import affsym.verify
 from affsym.cli import main
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
 from affsym.little import MarkedWord
 from affsym.stanley import compositions_bounded
-from affsym.verify import _random_reduced_word, bijection_sweep
+from affsym.verify import (
+    _random_reduced_word,
+    bijection_sweep,
+    chevalley_sweep,
+    garsia_little_sweep,
+    sweep_ball,
+)
 from affsym.words import Word, evaluate, is_reduced, reduced_words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -265,50 +273,89 @@ def test_bijection_failure_output_matches_recorded_golden(fault, monkeypatch, ca
     assert (status, digest) == (1, BIJECTION_FAULT_GOLDENS[fault])
 
 
-def _unequal_first_report(monkeypatch, name, field):
+def _unequal_first_report(name, field):
     # the first report of the sweep gets one side of its identity doubled
-    real, calls = getattr(affsym.verify, name), []
+    def install(monkeypatch):
+        real, calls = getattr(affsym.verify, name), []
 
-    def perturbed(v, residues):
-        reports = real(v, residues)
-        if not calls:
-            setattr(reports[0], field, getattr(reports[0], field).scaled(2))
-        calls.append(v)
-        return reports
+        def perturbed(v, covers, residues):
+            reports = real(v, covers, residues)
+            if not calls:
+                setattr(reports[0], field, getattr(reports[0], field).scaled(2))
+            calls.append(v)
+            return reports
 
-    monkeypatch.setattr(affsym.verify, name, perturbed)
+        monkeypatch.setattr(affsym.verify, name, perturbed)
+
+    return install
 
 
-TABLE_FAULTS = {
+# per suite: a fault in that suite, and the number of failures, the first
+# failure and the stdout SHA-256 of `verify -n 3 --max-length 2 all` under it
+SUITE_FAULTS = {
     "garsia-little": (
-        "garsia_little_reports",
-        "plus_table",
+        _unequal_first_report("garsia_little_reports", "plus_table"),
+        1,
         "cover-sum identity fails at v=[1,2,3] r=0: minus={(1,): 1} plus={(1,): 2}",
+        "63283f10fc3e9c933d1e499a930b5e52f2362abe56b4992b4b0c4cce82ada2f2",
     ),
     "chevalley": (
-        "chevalley_reports",
-        "right_table",
+        _unequal_first_report("chevalley_reports", "right_table"),
+        1,
         "degree-one product rule fails at v=[1,2,3] r=0: left={(1,): 1} right={(1,): 2}",
+        "9055f07d1646da37d461a7becdbd8b4431690341b56a6fc8120676cf924cc39a",
+    ),
+    "bijection": (
+        _image_bit_fault,
+        60,
+        "length profile changed at 2/01 over [-1,3,4]",
+        "bb5e05c3d74d729e084d6795363812d0c9023097a56cb5623c7926823339468c",
     ),
 }
 
 
-@pytest.mark.parametrize("suite", TABLE_FAULTS)
+@pytest.mark.parametrize("suite", SUITE_FAULTS)
 def test_unequal_table_report_fails_only_its_suite(suite, monkeypatch, capsys):
-    name, field, failure = TABLE_FAULTS[suite]
-    _unequal_first_report(monkeypatch, name, field)
+    install, count, failure, digest = SUITE_FAULTS[suite]
+    install(monkeypatch)
     status = main(["verify", "-n", "3", "--max-length", "2", "all"])
     out = capsys.readouterr().out
     assert status == 1
     suites = [
-        f"{other}: 30 instances, {'1 FAILED' if other == suite else 'ok'}"
+        f"{other}: 30 instances, {f'{count} FAILED' if other == suite else 'ok'}"
         for other in ("garsia-little", "chevalley", "bijection")
     ]
-    assert out.splitlines() == suites + [
-        "exchange-random: 200 instances, ok",
-        f"FAIL {failure}",
-        "verification FAILED",
-    ]
+    lines = out.splitlines()
+    assert lines[:5] == suites + ["exchange-random: 200 instances, ok", f"FAIL {failure}"]
+    assert all(line.startswith("FAIL ") for line in lines[5:-1])
+    assert lines[4 + count :] == ["verification FAILED"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_computes_covers_once_per_element(monkeypatch, capsys):
+    # one pass over the 69 elements of length <= 4 at n = 4 serves every
+    # suite, whichever module's binding of covers_above a suite would call
+    calls = []
+    for module in (affsym.group, affsym.stanley, affsym.verify):
+        real = module.covers_above
+        monkeypatch.setattr(module, "covers_above", lambda v, real=real: calls.append(v) or real(v))
+    assert main(["verify", "-n", "4", "--max-length", "4", "all"]) == 0
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert calls == [v for level in bruhat_ball(4, 4) for v in level]
+    assert len(calls) == 69
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pass_matches_one_suite_sweeps(n):
+    # each suite's (count, failures) from the pass of all three, as alone
+    sweeps = {
+        "garsia-little": garsia_little_sweep,
+        "chevalley": chevalley_sweep,
+        "bijection": bijection_sweep,
+    }
+    for max_length in range(4):
+        expected = {name: sweep(n, max_length) for name, sweep in sweeps.items()}
+        assert sweep_ball(n, max_length, list(sweeps)) == expected
 
 
 def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
