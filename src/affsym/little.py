@@ -19,7 +19,10 @@ owns a fixed block of positions, and a step rewrites only that block.
 Both walks run on one integer kernel, `_walk`: factors are n-bit masks
 and the word is a list of ints.  A marked word is the tuple of its
 letters as one-letter factors, since sliding {i} down by one is
-decrementing i.  A walk is told its factors' sizes by its caller, and
+decrementing i.  A step's block move (the slid mask, its canonical
+letters and the offset of the moved letter) is memoized per (n, mask,
+letter, direction) in `_move`, at most 2·n·2^n entries for each n.  A
+walk is told its factors' sizes by its caller, and
 a step reads the word's `word_record` (sequence, reducedness, the key
 of each position's reflection) from a table its caller owns,
 `functools.cache(word_record)`.  The public functions make a fresh one
@@ -171,6 +174,16 @@ def _slide(n: int, mask: int, i: int, direction: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _move(n: int, mask: int, i: int, direction: int) -> tuple[int, tuple[int, ...], int]:
+    """One block move of a walk: _slide, then the slid mask's cd_letters
+    and the offset of the moved letter among them.  At most 2·n·2^n
+    entries, one per (mask, member, direction)."""
+    mask, j = _slide(n, mask, i, direction)
+    block = cd_letters(n, mask)
+    return mask, block, block.index(j)
+
+
+@functools.lru_cache(maxsize=None)
 def _layout(n: int, sizes: tuple[int, ...]):
     """The fixed blocks of a walk whose factors have these sizes: the
     start of each block, the factor owning each position, and the cap,
@@ -210,12 +223,12 @@ def _walk(
     direction = -1 if forward else 1
     for _ in range(states if cap is None else cap):
         f = owner[position - 1]
-        masks[f], mark = _slide(n, masks[f], word[position - 1], direction)
-        block = cd_letters(n, masks[f])
-        word[starts[f] : starts[f + 1]] = block
+        masks[f], block, offset = _move(n, masks[f], word[position - 1], direction)
+        start = starts[f]
+        word[start : starts[f + 1]] = block
         letters = tuple(word)
         record = table(n, letters)
-        moved = starts[f] + block.index(mark) + 1
+        moved = start + offset + 1
         if record.reduced:
             if path is not None:
                 path.append((letters, moved))
@@ -240,8 +253,9 @@ def walks(n: int, starts, sizes, directions, table):
     callers hold covers by construction."""
     out = []
     for masks, t in starts:
-        masks = list(masks)
-        word = [a for mask in masks for a in cd_letters(n, mask)]
+        masks, word = list(masks), []
+        for mask in masks:
+            word += cd_letters(n, mask)
         letters = tuple(word)
         record, ends = table(n, letters), []
         for forward in directions:
@@ -250,7 +264,8 @@ def walks(n: int, starts, sizes, directions, table):
             if end is None:
                 raise CycleOverflowError("generalized walk exceeded its cap")
             position, letters, record = end
-            t = reflection_pair(n, *record.sequence[position - 1])
+            p, q = record.sequence[position - 1]
+            t = reflection_pair(n, p, q)
             ends.append((tuple(masks), t))
         out.append(ends)
     return out

@@ -71,8 +71,13 @@ def compositions_bounded(total: int, max_part: int):
 
 
 def partitions_bounded(total: int, max_part: int) -> list[Partition]:
-    """All partitions of total with parts <= max_part, sorted ascending."""
+    """All partitions of total with parts <= max_part, sorted ascending:
+    a fresh list of the memoized tuple, so a caller may change it."""
+    return list(_partitions(total, max_part))
 
+
+@lru_cache(maxsize=None)
+def _partitions(total: int, max_part: int) -> tuple[Partition, ...]:
     def gen(remaining, bound):
         if remaining == 0:
             yield ()
@@ -81,7 +86,7 @@ def partitions_bounded(total: int, max_part: int) -> list[Partition]:
             for rest in gen(remaining - first, first):
                 yield (first,) + rest
 
-    return sorted(gen(total, max_part))
+    return tuple(sorted(gen(total, max_part)))
 
 
 def _composition_of_length(w: AffinePermutation, alpha) -> tuple[int, ...]:

@@ -54,6 +54,14 @@ def _format_masks(n: int, masks) -> str:
     return "/".join(format_letters(n, mask_members(n, mask)) for mask in masks)
 
 
+def _over(v: AffinePermutation) -> str:
+    return f"over {format_window(v)}"
+
+
+def _at(v: AffinePermutation, r: int) -> str:
+    return f"at v={format_window(v)} r={r}"
+
+
 def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table) -> list[str]:
     """The cover-sum bijection at (v, r), one profile alpha at a time.
     plus and minus pair each cover's store entry (its decompositions as
@@ -64,14 +72,16 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
     also make the word-level check (failures first; words stand for
     their elements, as distinct elements have disjoint sets of reduced
     words), and one call walks its images back.  One loop then checks
-    every image's profile, its way back and the image set.  Walks read
-    table."""
+    every image's profile, its way back and the image set.  A profile
+    with no decompositions on either side has nothing to check.  Walks
+    read table."""
     n, ones = v.n, (1,) * (v.length() + 1)
-    over, at = f"over {format_window(v)}", f"at v={format_window(v)} r={r}"
     word_failures, failures = [], []
     for alpha in profiles:
         expected = {(t, d) for entry, t in minus for d in entry[alpha]}
         starts = [(d, t) for entry, t in plus for d in entry[alpha]]
+        if not starts and not expected:
+            continue
         if alpha != ones:
             ends = walks(n, starts, alpha, (True, False), table)
         else:
@@ -91,26 +101,28 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
                 pairs = [table(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
                 for vertex, (p, _) in zip([m] + path[:-1], pairs):
                     if (p - r) % n != 0:
-                        word_failures.append(f"path p-invariant fails at {vertex} {over}")
+                        word_failures.append(f"path p-invariant fails at {vertex} {_over(v)}")
                 if (pairs[-1][1] - r) % n != 0:
-                    word_failures.append(f"path q-invariant fails at {path[-1]} {over}")
+                    word_failures.append(f"path q-invariant fails at {path[-1]} {_over(v)}")
                 forward.append((out, reflection_pair(n, *pairs[-1])))
             backs = walks(n, forward, alpha, (False,), table)
             ends = [[image, *back] for image, back in zip(forward, backs)]
             outs = [out for out, _ in forward]
-            if len(set(outs)) != len(outs):
-                word_failures.append(f"phi_r not injective {at}")
-            if set(outs) != words:
-                word_failures.append(f"phi_r not surjective {at}")
+            out_set = set(outs)
+            if len(out_set) != len(outs):
+                word_failures.append(f"phi_r not injective {_at(v, r)}")
+            if out_set != words:
+                word_failures.append(f"phi_r not surjective {_at(v, r)}")
         images = []
         for (d, _), ((out, t_out), (back, _)) in zip(starts, ends):
             if tuple(map(int.bit_count, out)) != alpha:
-                failures.append(f"length profile changed at {_format_masks(n, d)} {over}")
+                failures.append(f"length profile changed at {_format_masks(n, d)} {_over(v)}")
             if back != d:
-                failures.append(f"round trip fails at {_format_masks(n, d)} {over} r={r}")
+                failures.append(f"round trip fails at {_format_masks(n, d)} {_over(v)} r={r}")
             images.append((t_out, out))
-        if len(set(images)) != len(images) or set(images) != expected:
-            failures.append(f"factor-level map not bijective {at} alpha={alpha}")
+        image_set = set(images)
+        if len(image_set) != len(images) or image_set != expected:
+            failures.append(f"factor-level map not bijective {_at(v, r)} alpha={alpha}")
     return word_failures + failures
 
 

@@ -185,10 +185,17 @@ class WordRecord(NamedTuple):
 
 
 def word_record(n: int, letters) -> WordRecord:
-    """The WordRecord of plain letters, from one sweep."""
+    """The WordRecord of plain letters, from one sweep and one pass over
+    its sequence."""
     sequence = sweep(n, letters)
-    keys = [(q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence]
-    return WordRecord(sequence, sequence_is_reduced(sequence), keys)
+    keys, reduced = [], True
+    for p, q in sequence:
+        if p < q:
+            keys.append((q - p) * n + p % n)
+        else:
+            keys.append((p - q) * n + q % n)
+            reduced = False
+    return WordRecord(sequence, reduced, keys)
 
 
 def partner_index(n: int, letters, record: WordRecord, i: int) -> int:

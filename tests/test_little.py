@@ -50,6 +50,7 @@ from affsym.words import (
     Word,
     canonical_cd_word,
     cd_element,
+    cd_letters,
     count_reduced_words,
     evaluate,
     is_cyclically_decreasing,
@@ -602,6 +603,12 @@ def test_slide_matches_object_oracle(n):
                     new_mask, new_mark = little_module._slide(n, mask, mark, direction)
                     assert new_mark == expected.mark
                     assert new_mask == sum(1 << i for i in expected.subset.members)
+                    block = cd_letters(n, new_mask)
+                    assert little_module._move(n, mask, mark, direction) == (
+                        new_mask,
+                        block,
+                        block.index(new_mark),
+                    )
 
 
 @pytest.mark.parametrize("n,max_length", [(2, 3), (3, 3), (4, 3)])

@@ -72,6 +72,33 @@ def test_compositions_and_partitions():
     assert partitions_bounded(0, 2) == [()]
 
 
+def test_partitions_bounded_returns_a_fresh_list():
+    first = partitions_bounded(4, 3)
+    first.append((9,))
+    first[0] = (4,)
+    assert partitions_bounded(4, 3) == [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1)]
+
+
+def test_partitions_bounded_builds_each_key_once_per_sweep(monkeypatch):
+    built, calls = collections.Counter(), collections.Counter()
+    body, public = stanley_module._partitions.__wrapped__, stanley_module.partitions_bounded
+
+    def counting_body(total, max_part):
+        built[total, max_part] += 1
+        return body(total, max_part)
+
+    def counting_public(total, max_part):
+        calls[total, max_part] += 1
+        return public(total, max_part)
+
+    monkeypatch.setattr(stanley_module, "_partitions", functools.lru_cache(counting_body))
+    monkeypatch.setattr(stanley_module, "partitions_bounded", counting_public)
+    results = affsym.verify.sweep_ball(4, 4, ["garsia-little", "chevalley"])
+    assert all(not failures for _, failures in results.values())
+    assert set(built) == set(calls) and set(built.values()) == {1}
+    assert sum(calls.values()) > len(calls)
+
+
 # ---------------------------------------------------------------------------
 # decomposition counting
 

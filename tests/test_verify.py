@@ -92,6 +92,27 @@ def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
     assert calls == {"phi": 1124, (True, False): 3096, (False,): 1124, "all-ones forward": 0}
 
 
+def test_passing_bijection_sweep_walks_only_profiles_with_decompositions(monkeypatch):
+    # a profile with no decompositions on either side makes no walks
+    # call, and a passing sweep formats no element
+    calls = collections.Counter()
+    real_walks, real_format = affsym.verify.walks, affsym.verify.format_window
+
+    def counting_walks(n, starts, sizes, directions, table):
+        calls["walks"] += 1
+        calls["empty"] += not starts
+        return real_walks(n, starts, sizes, directions, table)
+
+    def counting_format(w):
+        calls["format_window"] += 1
+        return real_format(w)
+
+    monkeypatch.setattr(affsym.verify, "walks", counting_walks)
+    monkeypatch.setattr(affsym.verify, "format_window", counting_format)
+    assert bijection_sweep(4, 4) == (276, [])
+    assert (calls["walks"], calls["empty"], calls["format_window"]) == (1932, 0, 0)
+
+
 def _verify_bijection(capsys, max_length=2):
     status = main(["verify", "-n", "3", "--max-length", str(max_length), "bijection"])
     return status, capsys.readouterr().out

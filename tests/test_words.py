@@ -245,6 +245,17 @@ def test_record_keys_match_positions_oracle(pair):
         assert positions == positions_oracle(n, record.sequence, p, q)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_word_record_matches_two_pass_oracle(n):
+    # the keys comprehension and the second reducedness pass word_record
+    # once made, kept here as the oracle for its single loop
+    for length in range(6):
+        for letters in itertools.product(range(n), repeat=length):
+            sequence = sweep(n, letters)
+            keys = [(q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence]
+            assert word_record(n, letters) == (sequence, sequence_is_reduced(sequence), keys)
+
+
 @given(reduced_word_inputs)
 def test_is_reduced_agrees_with_length(pair):
     n, letters = pair
