@@ -4,13 +4,15 @@ Subcommands: covers, reduced-words, little, generalized-little,
 stanley-table, expand, verify.  All output is exact and deterministic;
 --json switches every subcommand to a single JSON document on stdout.
 
-Exit status: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error, 3 domain precondition violation.
+Exit status: 0 success / all checks pass, 1 verification failure or
+stdout closed before the output was written, 2 usage or parse error,
+3 domain precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ComputationError, DomainError, InputError
@@ -273,4 +275,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed stdout fails here, inside the try
+    except BrokenPipeError:
+        # the reader went away (say `| head -1`): send what is left of the
+        # output to devnull, so the flush at shutdown is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

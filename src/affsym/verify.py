@@ -15,13 +15,30 @@ Each profile walks its decompositions in one call of the kernel entry
 checks them all.  The walks over one v and the path invariants read each
 word's reflection record from one table, built on first use and dropped
 when v is done; the walks are told their factor sizes.
+
+The checks at one v depend on no other v, so `sweep_ball` splits the
+pass over P processes, forked once after the ball is built: process k
+(the caller is process 0) checks the v at positions k mod P of each
+level, with its own per-level stores and per-v tables, and a worker
+sends its failures over a pipe as `marshal` data, merged in ball order.
+The first exception in ball order is raised, so the output, the exit
+status and stderr are those of one process.  `_processes(size)`, the
+one place that chooses P, takes one process per CPU (at least 17 v
+each) once the ball has _PARALLEL_BALL elements, the break-even measured
+on a 2-core host, and one process below it or without `os.fork`; tests
+patch it to pin P.  `gc.freeze()` keeps the objects made before the
+sweep out of its garbage collections.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
+import marshal
+import os
 import random
 
+from .errors import ComputationError
 from .group import (
     AffinePermutation,
     bruhat_ball,
@@ -182,20 +199,139 @@ _LEVELS = {
 }
 
 
+# The smallest ball split across processes, and twice the least share of
+# one process: the break-even of two processes against one.  Cold `verify
+# -n N --max-length L bijection`, two processes against one, median of 16
+# alternating pairs on a 2-core Xeon (Python 3.11.7), by ball size: 19
+# (3, 3) 1.01x, 21 (5, 2) 0.97x, 28 (6, 2) 0.94x, 31 (3, 4) 1.00x, 35
+# (4, 3) 1.06x, 36 (7, 2) 0.94x, 46 (3, 5) 0.87x, 69 (4, 4) 0.77x.
+_PARALLEL_BALL = 35
+
+
+def _processes(size: int) -> int:
+    """How many processes check a ball of size elements: one, unless
+    os.fork exists, the ball has at least _PARALLEL_BALL elements and
+    this process may run on two CPUs or more; then one per CPU, but no
+    fewer than _PARALLEL_BALL / 2 elements each."""
+    if not hasattr(os, "fork") or size < _PARALLEL_BALL:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, 2 * size // _PARALLEL_BALL)
+
+
+def _share(n: int, levels, names, k: int, processes: int, parent=None):
+    """Process k's share of the sweep: the v at positions k mod processes
+    of each level, in ball order, with its own per-level checks.  Returns
+    (found, error): found lists (ball position, one failure list per
+    suite) for each v with a failure; error is None or (ball position,
+    exception) for the first exception, where the share stops.  A worker
+    passes its parent's pid and exits at its next v once that parent is
+    gone."""
+    found, start = [], 0
+    for length, level in enumerate(levels):
+        at = start
+        try:
+            checks = [_LEVELS[name](n, length) for name in names]
+            for at in range(start + k, start + len(level), processes):
+                if parent is not None and os.getppid() != parent:
+                    os._exit(1)
+                v = level[at - start]
+                covers = covers_above(v)
+                failures = [check(v, covers) for check in checks]
+                if any(failures):
+                    found.append((at, failures))
+        except Exception as exc:
+            return found, (at, exc)
+        start += len(level)
+    return found, None
+
+
+def _fork(n: int, levels, names, k: int, processes: int):
+    """Start worker k on its share; returns its pid and the read end of
+    the pipe that carries its marshalled (found, error) result, the
+    error's exception pickled.  The worker leaves only through os._exit,
+    so it flushes no inherited buffer and runs no exit handler."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read)
+        os.close(write)
+        raise ComputationError(f"cannot start sweep worker {k}: {exc}") from exc
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            found, error = _share(n, levels, names, k, processes, parent)
+            if error is not None:
+                import pickle  # only a failed check sends an exception
+
+                error = (error[0], pickle.dumps(error[1]))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(marshal.dumps((found, error)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
 def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]]]:
     """Each named suite's (instance count, failures) over the Bruhat ball
     of radius max_length: one pass, level by level, with the covers of
     each v computed once and handed to every suite, which checks all n
-    residues r at v."""
-    failures, count = {name: [] for name in names}, 0
-    for length, level in enumerate(bruhat_ball(n, max_length)):
-        checks = [(_LEVELS[name](n, length), found) for name, found in failures.items()]
-        for v in level:
-            covers = covers_above(v)
-            count += n
-            for check, found in checks:
-                found += check(v, covers)
-    return {name: (count, found) for name, found in failures.items()}
+    residues r at v.  The pass is split over _processes(size) processes
+    forked after the ball is built (see _share); their failures merge in
+    ball order, and the first exception in ball order is raised, as one
+    process would meet them.  Every worker is reaped before this returns,
+    and killed first if the parent stops early."""
+    names = list(names)
+    levels = bruhat_ball(n, max_length)
+    size = sum(map(len, levels))
+    processes, workers, data, statuses = _processes(size), [], [], []
+    # What exists now lives through the sweep: kept out of its garbage
+    # collections, it is not traversed again, nor copied into a worker
+    # by the collector's writes.
+    gc.freeze()
+    try:
+        for k in range(1, processes):
+            workers.append(_fork(n, levels, names, k, processes))
+        shares = [_share(n, levels, names, 0, processes)]
+        data = [pipe.read() for _, pipe in workers]
+    finally:
+        gc.unfreeze()
+        for pid, pipe in workers:
+            pipe.close()
+            if len(data) < len(workers):
+                import signal  # only a parent stopped early kills
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, (payload, status) in enumerate(zip(data, statuses), 1):
+        if status or not payload:
+            raise ComputationError(
+                f"sweep worker {k} of {processes} ended without a result "
+                f"(exit code {os.waitstatus_to_exitcode(status)})"
+            )
+        found, error = marshal.loads(payload)
+        if error is not None:
+            import pickle  # only a failed check sends an exception
+
+            error = (error[0], pickle.loads(error[1]))
+        shares.append((found, error))
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    failures = {name: [] for name in names}
+    at_each_v = sorted((item for found, _ in shares for item in found), key=lambda item: item[0])
+    for _, at_v in at_each_v:
+        for found, failures_at_v in zip(failures.values(), at_v):
+            found += failures_at_v
+    return {name: (n * size, found) for name, found in failures.items()}
 
 
 def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:

@@ -105,6 +105,22 @@ def test_reduced_words_output(capsys):
     assert out.splitlines() == ["121", "212"]
 
 
+def test_closed_stdout_exits_1_without_a_traceback(child_env):
+    # 176,715 bytes of words: more than a pipe holds, so the writer is
+    # still writing when the reader closes its end after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affsym", "reduced-words", "-n", "5", "[-6,2,13,5,1]"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env,
+    )
+    assert proc.stdout.readline() == b"1210401232104034\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # ---------------------------------------------------------------------------
 # little trace
 

@@ -51,3 +51,27 @@ def test_every_top_level_definition_is_referenced():
         referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unreferenced = {name: where for name, where in defined.items() if name not in referenced}
     assert unreferenced == {}, f"top-level definitions referenced nowhere: {unreferenced}"
+
+
+# modules that no affsym module imports at start-up: the sweep's workers
+# are forked, and only an error path pickles or kills
+DEFERRED_IMPORTS = {"pickle", "multiprocessing", "concurrent", "subprocess", "threading", "signal"}
+
+
+def _module_level_imports(nodes):
+    # the modules imported outside any function or class body
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.module
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _module_level_imports(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_process_or_pickle_import_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    early = {name.split(".")[0] for name in _module_level_imports(tree.body)} & DEFERRED_IMPORTS
+    assert early == set(), f"{path.name} imports {early} at start-up"

@@ -499,6 +499,7 @@ def test_chevalley_reports_match_per_residue_oracle(n):
 
 
 def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     calls = []
     real = affsym.verify.covers_above
     monkeypatch.setattr(affsym.verify, "covers_above", lambda v: calls.append(v) or real(v))
@@ -507,6 +508,7 @@ def test_chevalley_sweep_computes_covers_once_per_element(monkeypatch):
 
 
 def test_garsia_little_sweep_computes_covers_once_per_element(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # 69 elements of length <= 4 at n = 4, one cover list each for all r
     calls = []
     for module in (affsym.group, stanley_module, affsym.verify):
@@ -519,6 +521,7 @@ def test_garsia_little_sweep_computes_covers_once_per_element(monkeypatch):
 
 
 def test_garsia_little_sweep_computes_each_cover_table_once_per_element(monkeypatch, capsys):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # one table per cover of each v, shared by both sides of every residue
     calls = []
     real = stanley_module.stanley_table

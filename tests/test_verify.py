@@ -1,7 +1,13 @@
 import collections
+import errno
 import hashlib
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +17,7 @@ import affsym.little
 import affsym.stanley
 import affsym.verify
 from affsym.cli import main
+from affsym.errors import ComputationError, InvariantError
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
 from affsym.little import MarkedWord
 from affsym.stanley import compositions_bounded
@@ -51,6 +58,7 @@ def test_random_reduced_word_matches_extension_test():
 
 
 def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # one call per distinct cover w in the ball, for all of its profiles
     # at once: the store is per level and keyed by cover, and a w covers
     # several v of a level
@@ -70,6 +78,7 @@ def test_bijection_sweep_decomposes_each_cover_once_per_profile(monkeypatch):
 
 
 def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # phi is the one forward all-ones walk: the all-ones profile walks
     # only its images back; every other profile takes round trips, whose
     # forward halves are its only forward walks.  Starts are counted per
@@ -93,6 +102,7 @@ def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
 
 
 def test_passing_bijection_sweep_walks_only_profiles_with_decompositions(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # a profile with no decompositions on either side makes no walks
     # call, and a passing sweep formats no element
     calls = collections.Counter()
@@ -354,6 +364,7 @@ def test_unequal_table_report_fails_only_its_suite(suite, monkeypatch, capsys):
 
 
 def test_verify_all_computes_covers_once_per_element(monkeypatch, capsys):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # one pass over the 69 elements of length <= 4 at n = 4 serves every
     # suite, whichever module's binding of covers_above a suite would call
     calls = []
@@ -380,6 +391,7 @@ def test_one_pass_matches_one_suite_sweeps(n):
 
 
 def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # the sweep asks for the covers of each v once, before its checks
     elements, builds = [], collections.Counter()
     real_covers, real_record = affsym.verify.covers_above, affsym.verify.word_record
@@ -446,3 +458,187 @@ def test_frontier_instance_counts_follow_bott():
     }
     for n, max_length, _, count, _ in rows:
         assert int(count.replace(",", "")) == FRONTIER[int(n), int(max_length)]
+
+
+# ---------------------------------------------------------------------------
+# the sweep split across forked processes
+
+
+@pytest.fixture(params=[2, 3])
+def processes(request, monkeypatch):
+    # every sweep of the test is split over request.param processes,
+    # whatever its size; a hang fails the test after 60 s, and no child
+    # process outlives it
+    def hung(signum, frame):
+        raise TimeoutError("the split sweep hung")
+
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: request.param)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield request.param
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_processes_follow_the_cpus_and_the_ball_size(monkeypatch):
+    least = affsym.verify._PARALLEL_BALL
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert [affsym.verify._processes(size) for size in (least - 1, least, 2 * least)] == [1, 2, 4]
+    assert affsym.verify._processes(10**6) == 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert affsym.verify._processes(10**6) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert affsym.verify._processes(10**6) == 3
+    monkeypatch.delattr(os, "fork")
+    assert affsym.verify._processes(10**6) == 1
+
+
+def _a_fault_in_each_suite(monkeypatch):
+    # the counting suites' first report at each v gets one side doubled,
+    # and the bijection suite's forward walks move an image bit
+    faults = (("garsia_little_reports", "plus_table"), ("chevalley_reports", "right_table"))
+    for name, field in faults:
+        real = getattr(affsym.verify, name)
+
+        def perturbed(v, covers, residues, real=real, field=field):
+            reports = real(v, covers, residues)
+            setattr(reports[0], field, getattr(reports[0], field).scaled(2))
+            return reports
+
+        monkeypatch.setattr(affsym.verify, name, perturbed)
+    _image_bit_fault(monkeypatch)
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_split_sweep_matches_one_process(faulty, processes, monkeypatch):
+    names = ["garsia-little", "chevalley", "bijection"]
+    if faulty:
+        _a_fault_in_each_suite(monkeypatch)
+    for n in (2, 3, 4):
+        for max_length in range(5):
+            split = sweep_ball(n, max_length, names)
+            with monkeypatch.context() as serial:
+                serial.setattr(affsym.verify, "_processes", lambda size: 1)
+                assert split == sweep_ball(n, max_length, names)
+    assert all(failures for _, failures in split.values()) == faulty
+
+
+@pytest.mark.parametrize("fault", BIJECTION_FAULTS)
+def test_split_bijection_failure_output_matches_golden(fault, processes, monkeypatch, capsys):
+    BIJECTION_FAULTS[fault](monkeypatch)
+    status, out = _verify_bijection(capsys, max_length=3)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (status, digest) == (1, BIJECTION_FAULT_GOLDENS[fault])
+
+
+# (level, index) of the elements of bruhat_ball(3, 3) where the check
+# raises: index 0 is always the parent's, index 1 a worker's
+@pytest.mark.parametrize("spots", [[(2, 1)], [(2, 1), (3, 0)], [(2, 0), (3, 1)]])
+def test_split_sweep_raises_the_first_exception_in_ball_order(
+    spots, processes, monkeypatch, capsys
+):
+    levels, real = bruhat_ball(3, 3), affsym.verify.covers_above
+    faults = {levels[length][i]: f"fault at {length}.{i}" for length, i in spots}
+
+    def faulty(v):
+        if v in faults:
+            raise InvariantError(faults[v])
+        return real(v)
+
+    monkeypatch.setattr(affsym.verify, "covers_above", faulty)
+    argv = ["verify", "-n", "3", "--max-length", "3", "bijection"]
+    split = main(argv), capsys.readouterr()
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
+    assert split == (main(argv), capsys.readouterr())
+    length, i = spots[0]
+    assert split == (1, ("", f"internal error: fault at {length}.{i}\n"))
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_split_sweep_with_a_dead_worker_exits_1(death, processes, monkeypatch, capsys):
+    parent, real = os.getpid(), affsym.verify.covers_above
+
+    def dying(v):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(v)
+
+    monkeypatch.setattr(affsym.verify, "covers_above", dying)
+    status = main(["verify", "-n", "3", "--max-length", "2", "bijection"])
+    out, err = capsys.readouterr()
+    assert (status, out) == (1, "")
+    assert err.startswith(f"internal error: sweep worker 1 of {processes} ended without a result")
+
+
+def test_split_sweep_that_cannot_fork_its_last_worker_exits_1(processes, monkeypatch, capsys):
+    # the workers already started are killed and reaped
+    real, started = os.fork, []
+
+    def fork():
+        if len(started) == processes - 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        started.append(True)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    status = main(["verify", "-n", "3", "--max-length", "2", "bijection"])
+    out, err = capsys.readouterr()
+    assert (status, out) == (1, "")
+    assert err.startswith(f"internal error: cannot start sweep worker {processes - 1}:")
+
+
+def test_split_sweep_worker_whose_parent_is_gone_exits(processes, monkeypatch):
+    # as if the parent had died and the worker were reparented
+    monkeypatch.setattr(os, "getppid", lambda: 1)
+    with pytest.raises(ComputationError, match="ended without a result"):
+        bijection_sweep(3, 2)
+
+
+def test_interrupted_split_sweep_kills_its_workers(processes, monkeypatch):
+    parent, real = os.getpid(), affsym.verify.covers_above
+
+    def stuck(v):
+        if os.getpid() != parent:
+            time.sleep(3600)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(affsym.verify, "covers_above", stuck)
+    with pytest.raises(KeyboardInterrupt):
+        bijection_sweep(3, 2)
+
+
+# the sweep split over two processes after stdout holds unflushed text
+SPLIT_VERIFY = """
+import sys
+import affsym.verify
+from affsym.cli import main
+affsym.verify._processes = lambda size: 2
+print("before the sweep")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_split_sweep_writes_stdout_once(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_VERIFY, "verify", "-n", "3", "--max-length", "2", "all"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "before the sweep\n"
+        "garsia-little: 30 instances, ok\n"
+        "chevalley: 30 instances, ok\n"
+        "bijection: 30 instances, ok\n"
+        "exchange-random: 200 instances, ok\n"
+        "all checks passed\n"
+    )
