@@ -22,12 +22,14 @@ pass over P processes, forked once after the ball is built: process k
 level, with its own per-level stores and per-v tables, and a worker
 sends its failures over a pipe as `marshal` data, merged in ball order.
 The first exception in ball order is raised, so the output, the exit
-status and stderr are those of one process.  `_processes(size)`, the
-one place that chooses P, takes one process per CPU (at least 17 v
-each) once the ball has _PARALLEL_BALL elements, the break-even measured
-on a 2-core host, and one process below it or without `os.fork`; tests
-patch it to pin P.  `gc.freeze()` keeps the objects made before the
-sweep out of its garbage collections.
+status and stderr are those of one process; once a process raises, the
+others stop at their next v beyond its position.  `_processes(size)`,
+the one place that chooses P, takes two processes on a host with two
+CPUs or more once the ball has _PARALLEL_BALL elements, the break-even
+measured on a 2-core host, and one process below it or without
+`os.fork`; more processes were never timed.  Tests patch it to pin P.
+`gc.freeze()` keeps the objects made before the sweep out of its
+garbage collections, unless the caller has frozen objects itself.
 """
 
 from __future__ import annotations
@@ -199,43 +201,52 @@ _LEVELS = {
 }
 
 
-# The smallest ball split across processes, and twice the least share of
-# one process: the break-even of two processes against one.  Cold `verify
-# -n N --max-length L bijection`, two processes against one, median of 16
-# alternating pairs on a 2-core Xeon (Python 3.11.7), by ball size: 19
-# (3, 3) 1.01x, 21 (5, 2) 0.97x, 28 (6, 2) 0.94x, 31 (3, 4) 1.00x, 35
-# (4, 3) 1.06x, 36 (7, 2) 0.94x, 46 (3, 5) 0.87x, 69 (4, 4) 0.77x.
-_PARALLEL_BALL = 35
+# The smallest ball split across processes: the smallest ball size at
+# which two processes beat one in every timed series.  Cold `verify -n N
+# --max-length L bijection`, two processes against one, median ratio of
+# alternating pairs on a shared 2-core Xeon (Python 3.11.7), in three
+# series of 16, 30 and 40 pairs: 46 elements (3, 5) 0.87x, 0.93x, 0.91x;
+# 55 (9, 2) 0.88x, 0.95x; 56 (5, 3) 0.89x, 0.87x; 69 (4, 4) 0.77x, 0.83x,
+# 0.85x.  From 35 to 45 elements one series of each read no gain (35
+# (4, 3) 1.06x, 0.95x, 0.97x; 36 (7, 2) 0.94x, 1.01x, 0.91x; 45 (8, 2)
+# 0.97x, 0.91x), and from 19 to 31 elements each read 0.94x to 1.03x,
+# within the host's noise.
+_PARALLEL_BALL = 46
 
 
 def _processes(size: int) -> int:
-    """How many processes check a ball of size elements: one, unless
-    os.fork exists, the ball has at least _PARALLEL_BALL elements and
-    this process may run on two CPUs or more; then one per CPU, but no
-    fewer than _PARALLEL_BALL / 2 elements each."""
+    """How many processes check a ball of size elements: two, if os.fork
+    exists, the ball has at least _PARALLEL_BALL elements and this
+    process may run on two CPUs or more; else one.  Only two processes
+    against one have been timed, so more CPUs still give two."""
     if not hasattr(os, "fork") or size < _PARALLEL_BALL:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(cpus, 2 * size // _PARALLEL_BALL)
+    return min(cpus, 2)
 
 
-def _share(n: int, levels, names, k: int, processes: int, parent=None):
+def _share(n: int, levels, names, k: int, processes: int, first=None, parent=None):
     """Process k's share of the sweep: the v at positions k mod processes
     of each level, in ball order, with its own per-level checks.  Returns
     (found, error): found lists (ball position, one failure list per
     suite) for each v with a failure; error is None or (ball position,
-    exception) for the first exception, where the share stops.  A worker
-    passes its parent's pid and exits at its next v once that parent is
-    gone."""
+    exception) for the first exception, where the share stops.  In a
+    split sweep, first[0], shared by all processes, is the smallest ball
+    position at which one has raised: the share lowers it when it raises
+    and stops short of any v beyond it, whose checks can no longer
+    matter.  A worker passes its parent's pid and exits at its next v once
+    that parent is gone."""
     found, start = [], 0
     for length, level in enumerate(levels):
         at = start
         try:
             checks = [_LEVELS[name](n, length) for name in names]
             for at in range(start + k, start + len(level), processes):
+                if first is not None and at > first[0]:
+                    return found, None
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
                 v = level[at - start]
@@ -244,12 +255,14 @@ def _share(n: int, levels, names, k: int, processes: int, parent=None):
                 if any(failures):
                     found.append((at, failures))
         except Exception as exc:
+            if first is not None:
+                first[0] = min(first[0], at)
             return found, (at, exc)
         start += len(level)
     return found, None
 
 
-def _fork(n: int, levels, names, k: int, processes: int):
+def _fork(n: int, levels, names, k: int, processes: int, first):
     """Start worker k on its share; returns its pid and the read end of
     the pipe that carries its marshalled (found, error) result, the
     error's exception pickled.  The worker leaves only through os._exit,
@@ -266,7 +279,7 @@ def _fork(n: int, levels, names, k: int, processes: int):
         status = 1
         try:
             os.close(read)
-            found, error = _share(n, levels, names, k, processes, parent)
+            found, error = _share(n, levels, names, k, processes, first, parent)
             if error is not None:
                 import pickle  # only a failed check sends an exception
 
@@ -287,23 +300,38 @@ def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]
     residues r at v.  The pass is split over _processes(size) processes
     forked after the ball is built (see _share); their failures merge in
     ball order, and the first exception in ball order is raised, as one
-    process would meet them.  Every worker is reaped before this returns,
-    and killed first if the parent stops early."""
+    process would meet them.  Once a process raises, the others stop at
+    their next v beyond its position, so a failing sweep ends about as
+    soon as one process would.  Every worker is reaped before this
+    returns, and killed first if the parent stops early.  If the caller
+    has frozen nothing (gc.get_freeze_count() is 0), the objects made
+    before the sweep are frozen out of its garbage collections
+    (gc.freeze) and unfrozen after; a caller's own freeze is left as it
+    is."""
     names = list(names)
     levels = bruhat_ball(n, max_length)
     size = sum(map(len, levels))
     processes, workers, data, statuses = _processes(size), [], [], []
+    first = None
+    if processes > 1:
+        import mmap  # only a split sweep shares the first error's position
+
+        first = memoryview(mmap.mmap(-1, 8)).cast("q")
+        first[0] = size
     # What exists now lives through the sweep: kept out of its garbage
     # collections, it is not traversed again, nor copied into a worker
     # by the collector's writes.
-    gc.freeze()
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
         for k in range(1, processes):
-            workers.append(_fork(n, levels, names, k, processes))
-        shares = [_share(n, levels, names, 0, processes)]
+            workers.append(_fork(n, levels, names, k, processes, first))
+        shares = [_share(n, levels, names, 0, processes, first)]
         data = [pipe.read() for _, pipe in workers]
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
         for pid, pipe in workers:
             pipe.close()
             if len(data) < len(workers):

@@ -1,5 +1,6 @@
 import collections
 import errno
+import gc
 import hashlib
 import os
 import random
@@ -487,13 +488,14 @@ def processes(request, monkeypatch):
 def test_processes_follow_the_cpus_and_the_ball_size(monkeypatch):
     least = affsym.verify._PARALLEL_BALL
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert [affsym.verify._processes(size) for size in (least - 1, least, 2 * least)] == [1, 2, 4]
-    assert affsym.verify._processes(10**6) == 8
+    assert [affsym.verify._processes(size) for size in (least - 1, least, 10**6)] == [1, 2, 2]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert affsym.verify._processes(10**6) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert affsym.verify._processes(10**6) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert affsym.verify._processes(10**6) == 3
+    assert affsym.verify._processes(10**6) == 2
     monkeypatch.delattr(os, "fork")
     assert affsym.verify._processes(10**6) == 1
 
@@ -612,6 +614,40 @@ def test_interrupted_split_sweep_kills_its_workers(processes, monkeypatch):
     monkeypatch.setattr(affsym.verify, "covers_above", stuck)
     with pytest.raises(KeyboardInterrupt):
         bijection_sweep(3, 2)
+
+
+def test_split_sweep_stops_its_workers_after_the_first_exception(processes, monkeypatch, tmp_path):
+    # the parent raises at the ball's first element; each worker, slowed
+    # to 0.5 s a v, stops at its next v instead of checking its whole
+    # share (9 v of 19 for two processes, 6 for three)
+    parent, real, log = os.getpid(), affsym.verify.covers_above, tmp_path / "checked"
+
+    def slow(v):
+        if os.getpid() == parent:
+            raise InvariantError("fault at the identity")
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        time.sleep(0.5)
+        return real(v)
+
+    monkeypatch.setattr(affsym.verify, "covers_above", slow)
+    with pytest.raises(InvariantError, match="fault at the identity"):
+        bijection_sweep(3, 3)
+    checked = log.read_text().split() if log.exists() else []
+    assert all(checked.count(pid) <= 2 for pid in checked)
+
+
+def test_sweep_leaves_the_callers_gc_freeze_as_it_is():
+    assert gc.get_freeze_count() == 0
+    sweep_ball(4, 4, ["bijection"])
+    assert gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        sweep_ball(4, 4, ["bijection"])
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 # the sweep split over two processes after stdout holds unflushed text
