@@ -269,6 +269,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        limit = f"sys.getrecursionlimit() = {sys.getrecursionlimit()}"
+        print(f"error: input too large: deeper than {limit}", file=sys.stderr)
+        return 3
     except ComputationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Exhaustive desk-scale verification sweeps.
 
-One pass walks every v with l(v) bounded, level by level in a
-deterministic order, and computes the covers of each v once; every
-requested suite checks (v, r) for each residue r from those covers and
-keeps its own failure list of human-readable descriptions.  The counting
-suites compare factorization counts only; the bijection suite checks the
+One pass, `_sweep(n, levels, names)`, walks the given levels in order
+(levels[l] holds elements of length l; `sweep_ball` passes the Bruhat
+ball) and computes the covers of each v once; every requested suite
+checks (v, r) for each residue r from those covers and keeps its own
+failure list of human-readable descriptions.  The counting suites
+compare factorization counts only; the bijection suite checks the
 factor-level Little map once per (v, r), profile by profile, against
 independent enumeration.  A level's store holds, per cover w, its
 alpha-decompositions at every profile from one peel pass.  The all-ones
@@ -16,20 +17,22 @@ checks them all.  The walks over one v and the path invariants read each
 word's reflection record from one table, built on first use and dropped
 when v is done; the walks are told their factor sizes.
 
-The checks at one v depend on no other v, so `sweep_ball` splits the
-pass over P processes, forked once after the ball is built: process k
-(the caller is process 0) checks the v at positions k mod P of each
-level, with its own per-level stores and per-v tables, and a worker
-sends its failures over a pipe as `marshal` data, merged in ball order.
-The first exception in ball order is raised, so the output, the exit
-status and stderr are those of one process; once a process raises, the
-others stop at their next v beyond its position.  `_processes(size)`,
-the one place that chooses P, takes two processes on a host with two
-CPUs or more once the ball has _PARALLEL_BALL elements, the break-even
-measured on a 2-core host, and one process below it or without
-`os.fork`; more processes were never timed.  Tests patch it to pin P.
-`gc.freeze()` keeps the objects made before the sweep out of its
-garbage collections, unless the caller has frozen objects itself.
+The checks at one v depend on no other v, so `_sweep` splits the pass
+over P processes, forked once: process k (the caller is process 0)
+checks the v at positions k mod P of each level with its own stores and
+tables, and returns one record stream: (position, failures) per v that
+failed, then (position, exception) if a check raised there.  A worker
+sends its stream as `marshal` data over a pipe, the exception pickled;
+the caller sorts all records by position and raises the first exception
+it meets, so the output, exit status and stderr are those of one
+process.  Every share stops at its next v beyond the stop position, the
+smallest at which one has raised: a one-element list in one process, a
+shared `mmap` in a split one.  `_processes(size)`, the one place that
+chooses P, gives two processes from _PARALLEL_BALL elements on a host
+with two CPUs or more (the break-even measured on 2 cores; more were
+never timed), else one, as without `os.fork`.  Tests patch it to pin P.
+`gc.freeze()` keeps the objects made before the sweep out of its garbage
+collections, unless the caller has frozen objects itself.
 """
 
 from __future__ import annotations
@@ -215,10 +218,10 @@ _PARALLEL_BALL = 46
 
 
 def _processes(size: int) -> int:
-    """How many processes check a ball of size elements: two, if os.fork
-    exists, the ball has at least _PARALLEL_BALL elements and this
-    process may run on two CPUs or more; else one.  Only two processes
-    against one have been timed, so more CPUs still give two."""
+    """How many processes check a pass over size elements: two, if os.fork
+    exists, size is at least _PARALLEL_BALL and this process may run on
+    two CPUs or more; else one.  Only two processes against one have
+    been timed, so more CPUs still give two."""
     if not hasattr(os, "fork") or size < _PARALLEL_BALL:
         return 1
     try:
@@ -228,45 +231,43 @@ def _processes(size: int) -> int:
     return min(cpus, 2)
 
 
-def _share(n: int, levels, names, k: int, processes: int, first=None, parent=None):
-    """Process k's share of the sweep: the v at positions k mod processes
-    of each level, in ball order, with its own per-level checks.  Returns
-    (found, error): found lists (ball position, one failure list per
-    suite) for each v with a failure; error is None or (ball position,
-    exception) for the first exception, where the share stops.  In a
-    split sweep, first[0], shared by all processes, is the smallest ball
-    position at which one has raised: the share lowers it when it raises
-    and stops short of any v beyond it, whose checks can no longer
-    matter.  A worker passes its parent's pid and exits at its next v once
-    that parent is gone."""
-    found, start = [], 0
+def _share(n: int, levels, names, k: int, processes: int, first, parent=None):
+    """Process k's share of the pass: the v at positions k mod processes
+    of each level, in order, with its own per-level checks.  Returns its
+    records (position, outcome) in order: outcome is the per-suite
+    failure lists at a v with a failure, or, in the last record, the
+    exception a check raised, where the share stops.  first[0], shared by
+    all processes, is the smallest position at which one has raised: the
+    share lowers it when it raises and checks no v beyond it.  A worker
+    passes its parent's pid and exits at its next v once it is gone."""
+    records, start = [], 0
     for length, level in enumerate(levels):
         at = start
         try:
             checks = [_LEVELS[name](n, length) for name in names]
             for at in range(start + k, start + len(level), processes):
-                if first is not None and at > first[0]:
-                    return found, None
+                if at > first[0]:
+                    return records
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
                 v = level[at - start]
                 covers = covers_above(v)
                 failures = [check(v, covers) for check in checks]
                 if any(failures):
-                    found.append((at, failures))
+                    records.append((at, failures))
         except Exception as exc:
-            if first is not None:
-                first[0] = min(first[0], at)
-            return found, (at, exc)
+            first[0] = min(first[0], at)
+            records.append((at, exc))
+            return records
         start += len(level)
-    return found, None
+    return records
 
 
 def _fork(n: int, levels, names, k: int, processes: int, first):
     """Start worker k on its share; returns its pid and the read end of
-    the pipe that carries its marshalled (found, error) result, the
-    error's exception pickled.  The worker leaves only through os._exit,
-    so it flushes no inherited buffer and runs no exit handler."""
+    the pipe that carries its records, marshalled, with an exception
+    pickled in place.  The worker leaves only through os._exit, so it
+    flushes no inherited buffer and runs no exit handler."""
     parent = os.getpid()
     read, write = os.pipe()
     try:
@@ -279,13 +280,13 @@ def _fork(n: int, levels, names, k: int, processes: int, first):
         status = 1
         try:
             os.close(read)
-            found, error = _share(n, levels, names, k, processes, first, parent)
-            if error is not None:
+            records = _share(n, levels, names, k, processes, first, parent)
+            if records and isinstance(records[-1][1], Exception):
                 import pickle  # only a failed check sends an exception
 
-                error = (error[0], pickle.dumps(error[1]))
+                records[-1] = (records[-1][0], pickle.dumps(records[-1][1]))
             with os.fdopen(write, "wb") as pipe:
-                pipe.write(marshal.dumps((found, error)))
+                pipe.write(marshal.dumps(records))
             status = 0
         finally:
             os._exit(status)
@@ -293,28 +294,23 @@ def _fork(n: int, levels, names, k: int, processes: int, first):
     return pid, os.fdopen(read, "rb")
 
 
-def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]]]:
-    """Each named suite's (instance count, failures) over the Bruhat ball
-    of radius max_length: one pass, level by level, with the covers of
-    each v computed once and handed to every suite, which checks all n
-    residues r at v.  The pass is split over _processes(size) processes
-    forked after the ball is built (see _share); their failures merge in
-    ball order, and the first exception in ball order is raised, as one
-    process would meet them.  Once a process raises, the others stop at
-    their next v beyond its position, so a failing sweep ends about as
-    soon as one process would.  Every worker is reaped before this
-    returns, and killed first if the parent stops early.  If the caller
-    has frozen nothing (gc.get_freeze_count() is 0), the objects made
-    before the sweep are frozen out of its garbage collections
-    (gc.freeze) and unfrozen after; a caller's own freeze is left as it
-    is."""
+def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
+    """Each named suite's (instance count, failures) over levels, levels[l]
+    holding elements of length l: one pass, with the covers of each v
+    computed once and handed to every suite, which checks all n residues r
+    at v, so n instances per element walked.  The pass is split over
+    _processes(size) processes (see _share); their records merge in order,
+    and the first exception met is raised, as one process would meet it.
+    Every worker is reaped before this returns, and killed first if the
+    parent stops early.  Unless the caller has frozen objects itself
+    (gc.get_freeze_count()), the objects made before the sweep are frozen
+    out of its garbage collections (gc.freeze) and unfrozen after."""
     names = list(names)
-    levels = bruhat_ball(n, max_length)
     size = sum(map(len, levels))
     processes, workers, data, statuses = _processes(size), [], [], []
-    first = None
+    first = [size]
     if processes > 1:
-        import mmap  # only a split sweep shares the first error's position
+        import mmap  # only a split sweep shares the stop position
 
         first = memoryview(mmap.mmap(-1, 8)).cast("q")
         first[0] = size
@@ -327,7 +323,7 @@ def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]
     try:
         for k in range(1, processes):
             workers.append(_fork(n, levels, names, k, processes, first))
-        shares = [_share(n, levels, names, 0, processes, first)]
+        records = _share(n, levels, names, 0, processes, first)
         data = [pipe.read() for _, pipe in workers]
     finally:
         if freeze:
@@ -345,21 +341,24 @@ def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]
                 f"sweep worker {k} of {processes} ended without a result "
                 f"(exit code {os.waitstatus_to_exitcode(status)})"
             )
-        found, error = marshal.loads(payload)
-        if error is not None:
+        share = marshal.loads(payload)
+        if share and isinstance(share[-1][1], bytes):
             import pickle  # only a failed check sends an exception
 
-            error = (error[0], pickle.loads(error[1]))
-        shares.append((found, error))
-    errors = [error for _, error in shares if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
+            share[-1] = (share[-1][0], pickle.loads(share[-1][1]))
+        records += share
     failures = {name: [] for name in names}
-    at_each_v = sorted((item for found, _ in shares for item in found), key=lambda item: item[0])
-    for _, at_v in at_each_v:
-        for found, failures_at_v in zip(failures.values(), at_v):
-            found += failures_at_v
+    for _, outcome in sorted(records, key=lambda record: record[0]):
+        if isinstance(outcome, Exception):
+            raise outcome
+        for found, at_v in zip(failures.values(), outcome):
+            found += at_v
     return {name: (n * size, found) for name, found in failures.items()}
+
+
+def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]]]:
+    """_sweep over the Bruhat ball of radius max_length."""
+    return _sweep(n, bruhat_ball(n, max_length), names)
 
 
 def garsia_little_sweep(n: int, max_length: int) -> tuple[int, list[str]]:

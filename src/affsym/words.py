@@ -114,7 +114,7 @@ def letters_window(n: int, letters) -> tuple[int, ...]:
 
 def is_reduced(a: Word) -> bool:
     """True iff l(evaluate(a)) = len(a), i.e. p_j < q_j all along reflection_sequence(a)."""
-    return sequence_is_reduced(sweep(a.n, a.letters))
+    return word_record(a.n, a.letters).reduced
 
 
 @lru_cache(maxsize=None)
@@ -168,10 +168,6 @@ def sweep(n: int, letters) -> list[tuple[int, int]]:
         out.append((p, q))
     out.reverse()
     return out
-
-
-def sequence_is_reduced(sequence) -> bool:
-    return all(p < q for p, q in sequence)
 
 
 class WordRecord(NamedTuple):

@@ -121,6 +121,24 @@ def test_closed_stdout_exits_1_without_a_traceback(child_env):
     proc.stderr.close()
 
 
+@pytest.mark.parametrize("command", ["reduced-words", "stanley-table", "expand"])
+def test_input_past_the_recursion_limit_exits_3_without_a_traceback(command, child_env):
+    # [-499,502] has length 500 and one reduced word, and its table one
+    # entry, but the recursions over its letters and parts go deeper
+    # than the interpreter allows
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsym", command, "-n", "2", "[-499,502]"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: input too large: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # little trace
 

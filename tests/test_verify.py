@@ -530,6 +530,56 @@ def test_split_sweep_matches_one_process(faulty, processes, monkeypatch):
     assert all(failures for _, failures in split.values()) == faulty
 
 
+def _failures_at_each_v(monkeypatch, n, max_length, names):
+    # the oracle: a one-process sweep of the ball, each suite's failures
+    # recorded per v by a wrapper around its level factory
+    found = {name: {} for name in names}
+
+    def recording(name, factory):
+        def level(n, length):
+            check = factory(n, length)
+
+            def recorded(v, covers):
+                found[name][v] = check(v, covers)
+                return found[name][v]
+
+            return recorded
+
+        return level
+
+    with monkeypatch.context() as oracle:
+        oracle.setattr(affsym.verify, "_processes", lambda size: 1)
+        for name in names:
+            oracle.setitem(affsym.verify._LEVELS, name, recording(name, affsym.verify._LEVELS[name]))
+        sweep_ball(n, max_length, names)
+    return found
+
+
+@pytest.mark.parametrize("fault", [None, *BIJECTION_FAULTS, "a fault in each suite"])
+def test_sweep_over_given_levels_matches_the_ball_sweep_at_those_v(
+    fault, processes, monkeypatch
+):
+    names = ["garsia-little", "chevalley", "bijection"]
+    if fault == "a fault in each suite":
+        _a_fault_in_each_suite(monkeypatch)
+    elif fault is not None:
+        BIJECTION_FAULTS[fault](monkeypatch)
+    for n in (3, 4):
+        for max_length in range(5):
+            found = _failures_at_each_v(monkeypatch, n, max_length, names)
+            levels = [level[::2] for level in bruhat_ball(n, max_length)]
+            walked = [v for level in levels for v in level]
+            expected = {
+                name: (n * len(walked), [f for v in walked for f in found[name][v]])
+                for name in names
+            }
+            assert affsym.verify._sweep(n, levels, names) == expected
+            with monkeypatch.context() as serial:
+                serial.setattr(affsym.verify, "_processes", lambda size: 1)
+                assert affsym.verify._sweep(n, levels, names) == expected
+    assert any(failures for _, failures in expected.values()) == (fault is not None)
+
+
 @pytest.mark.parametrize("fault", BIJECTION_FAULTS)
 def test_split_bijection_failure_output_matches_golden(fault, processes, monkeypatch, capsys):
     BIJECTION_FAULTS[fault](monkeypatch)
@@ -559,6 +609,23 @@ def test_split_sweep_raises_the_first_exception_in_ball_order(
     assert split == (main(argv), capsys.readouterr())
     length, i = spots[0]
     assert split == (1, ("", f"internal error: fault at {length}.{i}\n"))
+
+
+def test_one_process_sweep_stops_at_its_first_exception(monkeypatch, capsys):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
+    levels, real, called = bruhat_ball(3, 3), affsym.verify.covers_above, []
+    ball = [v for level in levels for v in level]
+
+    def faulty(v):
+        called.append(v)
+        if v == levels[2][1]:
+            raise InvariantError("fault at 2.1")
+        return real(v)
+
+    monkeypatch.setattr(affsym.verify, "covers_above", faulty)
+    status = main(["verify", "-n", "3", "--max-length", "3", "bijection"])
+    assert (status, capsys.readouterr()) == (1, ("", "internal error: fault at 2.1\n"))
+    assert called == ball[: ball.index(levels[2][1]) + 1]
 
 
 @pytest.mark.parametrize("death", ["exit", "kill"])
