@@ -279,12 +279,17 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The `affsym` command: main() on sys.argv, then flush stdout and
+    stderr and leave through os._exit with its status, so the process
+    skips interpreter teardown and runs no exit handler; in-process
+    callers use main()."""
     try:
-        status = main()
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse's, after --help or a usage error's message
+            status = exc.code
         sys.stdout.flush()  # a closed stdout fails here, inside the try
-    except BrokenPipeError:
-        # the reader went away (say `| head -1`): send what is left of the
-        # output to devnull, so the flush at shutdown is silent too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader went away (say `| head -1`)
         status = 1
-    sys.exit(status)
+    os._exit(status)

@@ -238,14 +238,30 @@ def as_reflection(w: AffinePermutation) -> Reflection | None:
 
 
 def canonical_reduced_word(w: AffinePermutation) -> tuple[int, ...]:
-    """One reduced word for w: repeatedly peel the smallest right descent."""
-    letters = []
-    x = w
-    while not x.is_identity():
-        i = min(x.right_descents())
-        x = x.times_simple(i)
+    """One reduced word for w: repeatedly peel the smallest right descent,
+    on the window as a list."""
+    n, x, letters = w.n, list(w.window), []
+    while True:
+        # the smallest i with w(i) > w(i + 1), where w(0) = w(n) - n
+        i = next((i for i in range(n) if x[i - 1] - (0 if i else n) > x[i]), None)
+        if i is None:
+            return tuple(reversed(letters))
+        if i:
+            x[i - 1], x[i] = x[i], x[i - 1]
+        else:
+            x[0], x[-1] = x[-1] - n, x[0] + n
         letters.append(i)
-    return tuple(reversed(letters))
+
+
+def letters_window(n: int, letters) -> tuple[int, ...]:
+    """The window of the left-to-right product of plain letters."""
+    window = list(range(1, n + 1))
+    for i in letters:
+        if i:
+            window[i - 1], window[i] = window[i], window[i - 1]
+        else:
+            window[0], window[-1] = window[-1] - n, window[0] + n
+    return tuple(window)
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +447,10 @@ def _act_on_core(n: int, shape: list[int], letter: int) -> list[int]:
     return new
 
 
-def _hook(shape: list[int], row: int, col: int) -> int:
-    arm = shape[row] - col
-    leg = sum(1 for r in range(row + 1, len(shape)) if shape[r] >= col)
-    return arm + leg + 1
+def _hook(shape: list[int], columns: list[int], row: int, col: int) -> int:
+    # arm shape[row] - col, and leg columns[col - 1] - row - 1, since the
+    # shape is a partition: column col holds rows 0 .. columns[col - 1] - 1
+    return shape[row] - col + columns[col - 1] - row
 
 
 def grassmannian_to_partition(w: AffinePermutation) -> Partition:
@@ -451,10 +467,11 @@ def grassmannian_to_partition(w: AffinePermutation) -> Partition:
     core: list[int] = []
     for letter in reversed(canonical_reduced_word(w)):
         core = _act_on_core(n, core, letter)
+    columns = [sum(1 for part in core if part >= col) for col in range(1, max(core, default=0) + 1)]
     label = tuple(
         count
         for count in (
-            sum(1 for col in range(1, core[row] + 1) if _hook(core, row, col) < n)
+            sum(1 for col in range(1, core[row] + 1) if _hook(core, columns, row, col) < n)
             for row in range(len(core))
         )
         if count > 0
@@ -470,19 +487,18 @@ def grassmannian_from_partition(n: int, shape) -> AffinePermutation:
     """Inverse of the partition labeling, by the row-reading word.
 
     Reads the boxes of the shape bottom row to top row, right to left
-    within a row, taking the residue (col - row) mod n of each box.
+    within a row, taking the residue (col - row) mod n of each box; the
+    element is the left-to-right product of those letters.
     """
     shape = tuple(shape)
     if any(p >= n for p in shape):
         raise NotGrassmannianError(f"parts of {shape} must be at most {n - 1}")
-    letters = []
-    for row in range(len(shape), 0, -1):
-        for col in range(shape[row - 1], 0, -1):
-            letters.append((col - row) % n)
-    w = identity(n)
-    for i in reversed(letters):
-        w = simple(n, i) * w
-    return w
+    letters = [
+        (col - row) % n
+        for row in range(len(shape), 0, -1)
+        for col in range(shape[row - 1], 0, -1)
+    ]
+    return AffinePermutation(n, letters_window(n, letters))
 
 
 # ---------------------------------------------------------------------------

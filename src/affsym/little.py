@@ -63,6 +63,7 @@ from .group import (
     cover_reflection,
     identity,
     is_r_cover,
+    letters_window,
     reflection_pair,
 )
 from .words import (
@@ -71,7 +72,6 @@ from .words import (
     cd_element,
     cd_letters,
     evaluate,
-    letters_window,
     mask_members,
     parse_word,
     partner_index,

@@ -13,8 +13,9 @@ associativity it implies rearrangement invariance for every
 composition, so tables count partitions only.
 
 One factor table (_cd_masks) and one peel on the window of w^-1 serve
-counting and enumeration; only the certificate multiplies elements, so
-it shares no arithmetic with the counts it guards.
+counting and enumeration; only the certificate multiplies factors, by
+evaluating their concatenated words, so it shares no arithmetic with
+the counts it guards.
 
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
@@ -51,10 +52,12 @@ from .group import (
     grassmannian_to_partition,
     is_grassmannian,
     is_r_cover,
+    letters_window,
     residue_count,
+    _length,
 )
 from .little import AlphaDecomposition
-from .words import CyclicSubset, cd_element, cd_letters, mask_members, subset_mask
+from .words import CyclicSubset, cd_letters, mask_members, subset_mask
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -235,27 +238,28 @@ class CoefficientTable(Record):
         return cls(n, degree, {})
 
 
+def _factor_products(n: int, i: int, j: int) -> Counter:
+    """The {window: count} map of h_i h_j: the products w(A) w(B), |A| = i
+    and |B| = j, whose lengths add, each the window of the concatenated
+    canonical words of A and B."""
+    windows = (
+        letters_window(n, left + right)
+        for _, left in _cd_masks(n, i)
+        for _, right in _cd_masks(n, j)
+    )
+    return Counter(window for window in windows if _length(n, window) == i + j)
+
+
 @lru_cache(maxsize=None)
 def _commutation_certificate(n: int, degree: int) -> None:
     """Check h_i h_j = h_j h_i for all 1 <= i < j <= n-1 with i + j <= degree.
 
-    Each product is the {element: count} map of the factor pairs whose
-    lengths add.  By associativity this makes every coefficient of
-    degree `degree` invariant under rearranging its composition.
+    By associativity this makes every coefficient of degree `degree`
+    invariant under rearranging its composition.
     """
-
-    elements = [
-        [cd_element(CyclicSubset(n, mask_members(n, m))) for m, _ in _cd_masks(n, size)]
-        for size in range(n)
-    ]
-
-    def product(i: int, j: int) -> Counter:
-        products = (left * right for left in elements[i] for right in elements[j])
-        return Counter(p for p in products if p.length() == i + j)
-
     for i in range(1, n):
         for j in range(i + 1, min(n - 1, degree - i) + 1):
-            if product(i, j) != product(j, i):
+            if _factor_products(n, i, j) != _factor_products(n, j, i):
                 raise SymmetryViolationError(f"h_{i} h_{j} != h_{j} h_{i} at n = {n}")
 
 

@@ -35,7 +35,13 @@ from .errors import (
     NotReducedError,
     WordIsReducedError,
 )
-from .group import AffinePermutation, Value, canonical_reduced_word, cover_reflection
+from .group import (
+    AffinePermutation,
+    Value,
+    canonical_reduced_word,
+    cover_reflection,
+    letters_window,
+)
 
 
 class Word(Value):
@@ -99,17 +105,6 @@ def evaluate(a: Word) -> AffinePermutation:
     (-1, 1, 4, 6)
     """
     return AffinePermutation(a.n, letters_window(a.n, a.letters))
-
-
-def letters_window(n: int, letters) -> tuple[int, ...]:
-    """The window of the left-to-right product of plain letters."""
-    window = list(range(1, n + 1))
-    for i in letters:
-        if i:
-            window[i - 1], window[i] = window[i], window[i - 1]
-        else:
-            window[0], window[-1] = window[-1] - n, window[0] + n
-    return tuple(window)
 
 
 def is_reduced(a: Word) -> bool:

@@ -121,6 +121,70 @@ def test_closed_stdout_exits_1_without_a_traceback(child_env):
     proc.stderr.close()
 
 
+# The command leaves through os._exit once it has flushed stdout and
+# stderr: no interpreter teardown, no exit handler.
+
+
+@pytest.fixture
+def buffered_env(child_env):
+    """child_env with stdout block-buffered on a pipe, Python's default, so
+    output the command did not flush is lost."""
+    return {key: value for key, value in child_env.items() if key != "PYTHONUNBUFFERED"}
+
+
+def test_command_output_read_through_a_pipe_is_complete(capsys, buffered_env):
+    # more bytes than the stdio buffer and the pipe hold, so the output
+    # must all be flushed before the process ends
+    argv = ["reduced-words", "-n", "5", "[-6,2,13,5,1]"]
+    code, out, _ = run_cli(capsys, *argv)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affsym", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=buffered_env,
+    )
+    stdout, stderr = proc.communicate(timeout=60)
+    assert code == 0 and len(out.encode()) == 176_715
+    assert (proc.returncode, stdout, stderr) == (0, out.encode(), b"")
+
+
+@pytest.mark.parametrize(
+    "argv, status, stdout, stderr",
+    [
+        (["reduced-words", "-n", "3", "[3,2,1]"], 0, "121\n212\n", ""),
+        (
+            ["little", "-n", "3", "-v", "11", "-a", "1", "-i", "1"],
+            3,
+            "",
+            "error: v word 11 is not reduced\n",
+        ),
+    ],
+)
+def test_exit_handlers_around_run_do_not_run(argv, status, stdout, stderr, buffered_env):
+    script = (
+        "import atexit\n"
+        "atexit.register(print, 'exit handler ran')\n"
+        "from affsym.cli import run\n"
+        "run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=buffered_env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, stdout, stderr)
+
+
+def test_usage_error_exits_2_with_the_argparse_message(capsys, buffered_env):
+    # argparse's SystemExit takes the same flush and os._exit as a return
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "-n", "4"])
+    message = capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsym", "expand", "-n", "4"], capture_output=True, env=buffered_env
+    )
+    assert exc.value.code == 2 and "required: window" in message
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
+
+
 @pytest.mark.parametrize("command", ["reduced-words", "stanley-table", "expand"])
 def test_input_past_the_recursion_limit_exits_3_without_a_traceback(command, child_env):
     # [-499,502] has length 500 and one reduced word, and its table one

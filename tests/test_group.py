@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -377,7 +378,7 @@ def test_core_action_rejects_non_core():
 
 
 def test_partition_label_shape_is_checked(monkeypatch):
-    monkeypatch.setattr(group_module, "_hook", lambda shape, row, col: 4)
+    monkeypatch.setattr(group_module, "_hook", lambda shape, columns, row, col: 4)
     with pytest.raises(InvariantError):
         grassmannian_to_partition(from_window(4, [-2, 1, 4, 7]))
 
@@ -405,6 +406,66 @@ def test_partition_label_round_trip(n):
             assert grassmannian_to_partition(w) == lam
 
 
+# Slow oracles for the window-list paths of the Grassmannian labels: the
+# object-level product, peel and row-scan hook they replaced.
+
+
+def _product_of_simples(n, shape):
+    # the row-reading word of the shape, multiplied out as simple reflections
+    w = identity(n)
+    for row in range(1, len(shape) + 1):
+        for col in range(1, shape[row - 1] + 1):
+            w = simple(n, (col - row) % n) * w
+    return w
+
+
+def _peeled_word(w):
+    letters = []
+    while not w.is_identity():
+        i = min(w.right_descents())
+        w = w.times_simple(i)
+        letters.append(i)
+    return tuple(reversed(letters))
+
+
+def _row_scan_hook(shape, row, col):
+    arm = shape[row] - col
+    leg = sum(1 for r in range(row + 1, len(shape)) if shape[r] >= col)
+    return arm + leg + 1
+
+
+def _oracle_core_and_label(w):
+    core = []
+    for letter in reversed(_peeled_word(w)):
+        core = group_module._act_on_core(w.n, core, letter)
+    counts = (
+        sum(1 for col in range(1, core[row] + 1) if _row_scan_hook(core, row, col) < w.n)
+        for row in range(len(core))
+    )
+    return core, tuple(count for count in counts if count > 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grassmannian_window_paths_match_their_slow_oracles(n):
+    for degree in range(9):
+        for lam in partitions_bounded(degree, n - 1):
+            w = grassmannian_from_partition(n, lam)
+            assert w == _product_of_simples(n, lam)
+            assert canonical_reduced_word(w) == _peeled_word(w)
+            core, label = _oracle_core_and_label(w)
+            assert grassmannian_to_partition(w) == label == lam
+            boxes = [(row, col) for row in range(len(core)) for col in range(1, core[row] + 1)]
+            per_column = Counter(col for _, col in boxes)  # columns 1 .. core[0], each nonempty
+            columns = [per_column[col] for col in sorted(per_column)]
+            for row, col in boxes:
+                assert group_module._hook(core, columns, row, col) == _row_scan_hook(core, row, col)
+
+
+def test_label_of_a_long_grassmannian_element():
+    # length 490 at n = 2: a core of 120,295 boxes, each hook read in O(1)
+    assert grassmannian_to_partition(from_window(2, [-489, 492])) == (1,) * 490
+
+
 # ---------------------------------------------------------------------------
 # misc
 
@@ -414,6 +475,7 @@ def test_canonical_reduced_word_evaluates_back():
         for l in range(5):
             for w in elements_of_length(n, l):
                 word = canonical_reduced_word(w)
+                assert word == _peeled_word(w)
                 assert len(word) == w.length()
                 x = identity(n)
                 for i in word:

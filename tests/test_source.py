@@ -78,3 +78,32 @@ def test_no_process_or_pickle_import_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     early = {name.split(".")[0] for name in _module_level_imports(tree.body)} & DEFERRED_IMPORTS
     assert early == set(), f"{path.name} imports {early} at start-up"
+
+
+# where a process may end: the command's own exit and the sweep's forked
+# workers; no library function ends a caller's process
+PROCESS_EXITS = {("cli.py", "run"), ("verify.py", "_share"), ("verify.py", "_fork")}
+
+
+def _process_exits(path):
+    # (file name, innermost enclosing function) of each reading of os._exit
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "_exit"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "os"
+            ):
+                yield path.name, function
+            yield from visit(child, function)
+
+    return set(visit(ast.parse(path.read_text(), filename=str(path)), None))
+
+
+def test_os_exit_only_in_the_command_and_the_sweep_workers():
+    found = set().union(*(_process_exits(path) for path in SOURCES))
+    assert found == PROCESS_EXITS

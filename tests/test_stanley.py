@@ -359,6 +359,20 @@ def dropped_factor(monkeypatch):
         memo.cache_clear()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_factor_products_match_element_products(n):
+    # the certificate's products on windows against the element product
+    # of the cyclically decreasing elements, subset by subset
+    elements = [
+        [cd_element(CyclicSubset(n, members)) for members in itertools.combinations(range(n), k)]
+        for k in range(n)
+    ]
+    for i, j in itertools.product(range(n), repeat=2):
+        products = (left * right for left in elements[i] for right in elements[j])
+        expected = collections.Counter(p.window for p in products if p.length() == i + j)
+        assert stanley_module._factor_products(n, i, j) == expected
+
+
 def test_commutation_certificate_catches_dropped_factor(dropped_factor):
     with pytest.raises(SymmetryViolationError):
         stanley_table(from_window(4, [-1, 4, 1, 6]))
