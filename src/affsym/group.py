@@ -410,75 +410,25 @@ def is_grassmannian(w: AffinePermutation) -> bool:
     return all(w.window[i] < w.window[i + 1] for i in range(w.n - 1))
 
 
-def _addable_corners(shape: list[int]) -> list[tuple[int, int]]:
-    corners = [(i, shape[i] + 1) for i in range(len(shape)) if i == 0 or shape[i - 1] > shape[i]]
-    corners.append((len(shape), 1))
-    return corners
-
-
-def _removable_corners(shape: list[int]) -> list[tuple[int, int]]:
-    return [
-        (i, shape[i])
-        for i in range(len(shape))
-        if i == len(shape) - 1 or shape[i] > shape[i + 1]
-    ]
-
-
-def _act_on_core(n: int, shape: list[int], letter: int) -> list[int]:
-    # s_letter acting on an n-core: add all addable corners of that
-    # residue, else remove all removable ones; a core never has both.
-    residue = lambda row, col: (col - row - 1) % n  # rows/cols 0-based here
-    add = [c for c in _addable_corners(shape) if residue(*c) == letter % n]
-    remove = [c for c in _removable_corners(shape) if residue(*c) == letter % n]
-    if add and remove:
-        raise InvariantError(
-            f"shape {shape} has addable and removable corners of residue {letter % n}"
-        )
-    new = list(shape)
-    for row, col in add:
-        if row == len(new):
-            new.append(col)
-        else:
-            new[row] = col
-    for row, col in remove:
-        new[row] = col - 1
-    while new and new[-1] == 0:
-        new.pop()
-    return new
-
-
-def _hook(shape: list[int], columns: list[int], row: int, col: int) -> int:
-    # arm shape[row] - col, and leg columns[col - 1] - row - 1, since the
-    # shape is a partition: column col holds rows 0 .. columns[col - 1] - 1
-    return shape[row] - col + columns[col - 1] - row
-
-
 def grassmannian_to_partition(w: AffinePermutation) -> Partition:
     """Partition label of a Grassmannian element, all parts <= n-1.
 
-    The n-core of w is built by acting with a reduced word (right to
-    left) on the empty partition; row i of the label counts the boxes of
-    the core in row i with hook length below n.  Orientation is fixed by
-    the n = 4 anchors [-2,1,4,7] -> (2,1,1) and [-1,0,5,6] -> (2,2).
+    The label is the conjugate of the sorted affine code
+    c_i = #{j < i : w(j) > w(i)}, i in [1, n] (Bjorner-Brenti, ch. 8).
+    Orientation is fixed by the n = 4 anchors [-2,1,4,7] -> (2,1,1) and
+    [-1,0,5,6] -> (2,2).
     """
     if not is_grassmannian(w):
         raise NotGrassmannianError(f"window {list(w.window)} is not increasing")
-    n = w.n
-    core: list[int] = []
-    for letter in reversed(canonical_reduced_word(w)):
-        core = _act_on_core(n, core, letter)
-    columns = [sum(1 for part in core if part >= col) for col in range(1, max(core, default=0) + 1)]
-    label = tuple(
-        count
-        for count in (
-            sum(1 for col in range(1, core[row] + 1) if _hook(core, columns, row, col) < n)
-            for row in range(len(core))
-        )
-        if count > 0
-    )
-    if sum(label) != w.length() or list(label) != sorted(label, reverse=True):
+    n, x = w.n, w.window
+    # for window positions i and m, j = m + kn lies below i with w(j)
+    # above w(i) exactly for (x_i - x_m) // n < k <= (m < i) - 1
+    code = [sum(max(0, (m < i) - 1 - (x[i] - x[m]) // n) for m in range(n)) for i in range(n)]
+    label = tuple(sum(c >= k for c in code) for k in range(1, max(code) + 1))
+    if sum(label) != w.length() or any(part >= n for part in label):
         raise InvariantError(
             f"label {label} of {list(w.window)} is not a partition of {w.length()}"
+            f" with parts at most {n - 1}"
         )
     return label
 
@@ -491,8 +441,8 @@ def grassmannian_from_partition(n: int, shape) -> AffinePermutation:
     element is the left-to-right product of those letters.
     """
     shape = tuple(shape)
-    if any(p >= n for p in shape):
-        raise NotGrassmannianError(f"parts of {shape} must be at most {n - 1}")
+    if any(not 0 < p < n for p in shape) or list(shape) != sorted(shape, reverse=True):
+        raise NotGrassmannianError(f"{shape} is not a partition with parts in [1, {n - 1}]")
     letters = [
         (col - row) % n
         for row in range(len(shape), 0, -1)

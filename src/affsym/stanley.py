@@ -19,7 +19,7 @@ the counts it guards.
 
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
-in exact integer/rational arithmetic; no floating point anywhere.  The
+in exact integer arithmetic; no floating point anywhere.  The
 identity reports take the covers of v from their caller, so a sweep
 computes them once per v for every suite.  The
 Grassmannian tables are unitriangular in lexicographic order of their
@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     DegreeMismatchError,
@@ -58,9 +57,6 @@ from .group import (
 )
 from .little import AlphaDecomposition
 from .words import CyclicSubset, cd_letters, mask_members, subset_mask
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def compositions_bounded(total: int, max_part: int):
@@ -450,18 +446,16 @@ class ExpansionResult(Record):
 
     __slots__ = ("coefficients", "exact")
 
-    def __init__(self, coefficients: dict[Partition, Fraction], exact: bool):
+    def __init__(self, coefficients: dict[Partition, int], exact: bool):
         self.coefficients, self.exact = coefficients, exact
 
 
 def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:
     """Solve for the table of w in the span of the same-degree Grassmannian
     tables, by unitriangular back-substitution."""
-    from fractions import Fraction  # imported here: only expand pays for fractions and decimal
-
     basis = affine_schur_basis(w.n, w.length())
     solution, residual = _solve_unitriangular(basis, stanley_table(w))
-    coefficients = {label: Fraction(value) for (_, label, _), value in zip(basis, solution)}
+    coefficients = {label: value for (_, label, _), value in zip(basis, solution)}
     return ExpansionResult(coefficients, not any(residual.values()))
 
 

@@ -125,14 +125,7 @@ def test_closed_stdout_exits_1_without_a_traceback(child_env):
 # stderr: no interpreter teardown, no exit handler.
 
 
-@pytest.fixture
-def buffered_env(child_env):
-    """child_env with stdout block-buffered on a pipe, Python's default, so
-    output the command did not flush is lost."""
-    return {key: value for key, value in child_env.items() if key != "PYTHONUNBUFFERED"}
-
-
-def test_command_output_read_through_a_pipe_is_complete(capsys, buffered_env):
+def test_command_output_read_through_a_pipe_is_complete(capsys, child_env):
     # more bytes than the stdio buffer and the pipe hold, so the output
     # must all be flushed before the process ends
     argv = ["reduced-words", "-n", "5", "[-6,2,13,5,1]"]
@@ -141,7 +134,7 @@ def test_command_output_read_through_a_pipe_is_complete(capsys, buffered_env):
         [sys.executable, "-m", "affsym", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=buffered_env,
+        env=child_env,
     )
     stdout, stderr = proc.communicate(timeout=60)
     assert code == 0 and len(out.encode()) == 176_715
@@ -160,7 +153,7 @@ def test_command_output_read_through_a_pipe_is_complete(capsys, buffered_env):
         ),
     ],
 )
-def test_exit_handlers_around_run_do_not_run(argv, status, stdout, stderr, buffered_env):
+def test_exit_handlers_around_run_do_not_run(argv, status, stdout, stderr, child_env):
     script = (
         "import atexit\n"
         "atexit.register(print, 'exit handler ran')\n"
@@ -168,18 +161,18 @@ def test_exit_handlers_around_run_do_not_run(argv, status, stdout, stderr, buffe
         "run()\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=buffered_env
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=child_env
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, stdout, stderr)
 
 
-def test_usage_error_exits_2_with_the_argparse_message(capsys, buffered_env):
+def test_usage_error_exits_2_with_the_argparse_message(capsys, child_env):
     # argparse's SystemExit takes the same flush and os._exit as a return
     with pytest.raises(SystemExit) as exc:
         main(["expand", "-n", "4"])
     message = capsys.readouterr().err
     proc = subprocess.run(
-        [sys.executable, "-m", "affsym", "expand", "-n", "4"], capture_output=True, env=buffered_env
+        [sys.executable, "-m", "affsym", "expand", "-n", "4"], capture_output=True, env=child_env
     )
     assert exc.value.code == 2 and "required: window" in message
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
@@ -516,13 +509,21 @@ def test_import_loads_no_dataclasses_inspect_or_json(child_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_verify_loads_no_fractions_or_decimal(child_env):
-    # only expand builds a Fraction, and imports fractions (and with it
-    # decimal) when it does
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-n", "3", "--max-length", "1", "bijection"],
+        ["expand", "-n", "5", "[-1,-2,1,10,7]"],
+    ],
+    ids=["verify", "expand"],
+)
+def test_command_loads_no_fractions_or_decimal(argv, child_env):
+    # every answer is an integer; fractions (and with it decimal) would
+    # cost a cold command milliseconds
     script = (
         "import contextlib, io, sys, affsym.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    status = affsym.cli.main(['verify', '-n', '3', '--max-length', '1', 'bijection'])\n"
+        f"    status = affsym.cli.main({argv!r})\n"
         "print(status, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
     )
     proc = subprocess.run(

@@ -1,7 +1,6 @@
 import itertools
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -371,14 +370,8 @@ def test_partition_label_anchors():
         grassmannian_to_partition(from_window(4, [2, 1, 3, 4]))
 
 
-def test_core_action_rejects_non_core():
-    # [2] is not a 2-core: residue 1 has the addable (1, 1) and the removable (0, 2)
-    with pytest.raises(InvariantError):
-        group_module._act_on_core(2, [2], 1)
-
-
 def test_partition_label_shape_is_checked(monkeypatch):
-    monkeypatch.setattr(group_module, "_hook", lambda shape, columns, row, col: 4)
+    monkeypatch.setattr(group_module, "_length", lambda n, window: 5)  # the length is 4
     with pytest.raises(InvariantError):
         grassmannian_to_partition(from_window(4, [-2, 1, 4, 7]))
 
@@ -406,8 +399,15 @@ def test_partition_label_round_trip(n):
             assert grassmannian_to_partition(w) == lam
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 0, 1), (0,), (-1,), (4,)])
+def test_grassmannian_from_partition_rejects_non_partitions(shape):
+    with pytest.raises(NotGrassmannianError):
+        grassmannian_from_partition(4, shape)
+
+
 # Slow oracles for the window-list paths of the Grassmannian labels: the
-# object-level product, peel and row-scan hook they replaced.
+# object-level product and peel they replaced, and the left code counted
+# through w(j) over an explicit range of integers.
 
 
 def _product_of_simples(n, shape):
@@ -428,21 +428,16 @@ def _peeled_word(w):
     return tuple(reversed(letters))
 
 
-def _row_scan_hook(shape, row, col):
-    arm = shape[row] - col
-    leg = sum(1 for r in range(row + 1, len(shape)) if shape[r] >= col)
-    return arm + leg + 1
+def _brute_left_code(w):
+    # c_i = #{j < i : w(j) > w(i)}; with s = max - min of w(m) - m, every
+    # j <= i - s has w(j) <= j + max <= i + min <= w(i), so none counts
+    shifts = [w(m) - m for m in range(1, w.n + 1)]
+    spread = max(shifts) - min(shifts)
+    return [sum(1 for j in range(i - spread, i) if w(j) > w(i)) for i in range(1, w.n + 1)]
 
 
-def _oracle_core_and_label(w):
-    core = []
-    for letter in reversed(_peeled_word(w)):
-        core = group_module._act_on_core(w.n, core, letter)
-    counts = (
-        sum(1 for col in range(1, core[row] + 1) if _row_scan_hook(core, row, col) < w.n)
-        for row in range(len(core))
-    )
-    return core, tuple(count for count in counts if count > 0)
+def _conjugate(shape):
+    return tuple(sum(1 for part in shape if part >= k) for k in range(1, max(shape, default=0) + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -452,17 +447,12 @@ def test_grassmannian_window_paths_match_their_slow_oracles(n):
             w = grassmannian_from_partition(n, lam)
             assert w == _product_of_simples(n, lam)
             assert canonical_reduced_word(w) == _peeled_word(w)
-            core, label = _oracle_core_and_label(w)
-            assert grassmannian_to_partition(w) == label == lam
-            boxes = [(row, col) for row in range(len(core)) for col in range(1, core[row] + 1)]
-            per_column = Counter(col for _, col in boxes)  # columns 1 .. core[0], each nonempty
-            columns = [per_column[col] for col in sorted(per_column)]
-            for row, col in boxes:
-                assert group_module._hook(core, columns, row, col) == _row_scan_hook(core, row, col)
+            code = sorted(_brute_left_code(w), reverse=True)
+            assert grassmannian_to_partition(w) == _conjugate(code) == lam
 
 
 def test_label_of_a_long_grassmannian_element():
-    # length 490 at n = 2: a core of 120,295 boxes, each hook read in O(1)
+    # length 490 at n = 2: the code (490, 0), read off the window in O(n^2)
     assert grassmannian_to_partition(from_window(2, [-489, 492])) == (1,) * 490
 
 

@@ -684,7 +684,7 @@ def test_expand_matches_gauss_oracle():
         result = expand_in_affine_schur(w)
         assert result.exact
         assert result.coefficients == _expand_by_gauss(w)
-        assert all(isinstance(value, Fraction) for value in result.coefficients.values())
+        assert all(type(value) is int for value in result.coefficients.values())
 
 
 def test_non_triangular_basis_is_singular(monkeypatch):
