@@ -35,21 +35,15 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _partition_key(partition) -> str:
-    return ",".join(str(p) for p in partition)
+# Each cmd_* handler returns (status, payload, lines): the exit status, the
+# --json document (None when there is none) and the text lines; main writes
+# one of the two.
 
 
-def _require_period(n: int) -> int:
-    if n < 2:
-        raise InputError(f"period must be at least 2, got {n}")
-    return n
-
-
-def cmd_covers(args) -> int:
-    n = _require_period(args.n)
-    v = parse_window(n, args.window)
+def cmd_covers(args):
+    v = parse_window(args.n, args.window)
     pairs = covers_above(v)
-    payload = {"n": n, "window": list(v.window)}
+    payload = {"n": args.n, "window": list(v.window)}
     if args.r is None:
         groups = {"covers": ("", pairs)}
     else:
@@ -58,113 +52,78 @@ def cmd_covers(args) -> int:
             key: (prefix, [(w, t) for w, t in pairs if is_r_cover(t, args.r, side)])
             for key, prefix, side in (("plus", "psi+ ", "right"), ("minus", "psi- ", "left"))
         }
-    if args.json:
-        for key, (_, group) in groups.items():
-            payload[key] = [{"window": list(w.window), "reflection": [t.a, t.b]} for w, t in group]
-        _emit_json(payload)
-    else:
-        for prefix, group in groups.values():
-            for w, t in group:
-                print(f"{prefix}{format_window(w)} {t}")
-    return 0
+    lines = []
+    for key, (prefix, group) in groups.items():
+        payload[key] = [{"window": list(w.window), "reflection": [t.a, t.b]} for w, t in group]
+        lines += (f"{prefix}{format_window(w)} {t}" for w, t in group)
+    return 0, payload, lines
 
 
-def cmd_reduced_words(args) -> int:
-    n = _require_period(args.n)
-    w = parse_window(n, args.window)
-    words = reduced_words(w)
-    if args.json:
-        _emit_json(
-            {"n": n, "window": list(w.window), "reduced_words": [str(a) for a in words]}
-        )
-    else:
-        for a in words:
-            print(a)
-    return 0
+def cmd_reduced_words(args):
+    w = parse_window(args.n, args.window)
+    words = [str(a) for a in reduced_words(w)]
+    return 0, {"n": args.n, "window": list(w.window), "reduced_words": words}, words
 
 
-def cmd_little(args) -> int:
-    n = _require_period(args.n)
-    v_word = parse_word(n, args.v)
+def cmd_little(args):
+    v_word = parse_word(args.n, args.v)
     if not is_reduced(v_word):
         raise DomainError(f"v word {v_word} is not reduced")
-    v = evaluate(v_word)
-    rows = little_trace(v, MarkedWord(parse_word(n, args.word), args.mark))
-    if args.json:
-        _emit_json(
-            {
-                "n": n,
-                "v": str(v_word),
-                "rows": [
-                    {"word": str(m.word), "mark": m.mark, "p": pair.p, "q": pair.q}
-                    for m, pair in rows
-                ],
-            }
-        )
-    else:
-        for m, pair in rows:
-            print(f"{m}  p={pair.p}  q={pair.q}")
-    return 0
+    rows = little_trace(evaluate(v_word), MarkedWord(parse_word(args.n, args.word), args.mark))
+    payload = {
+        "n": args.n,
+        "v": str(v_word),
+        "rows": [
+            {"word": str(m.word), "mark": m.mark, "p": pair.p, "q": pair.q} for m, pair in rows
+        ],
+    }
+    return 0, payload, [f"{m}  p={pair.p}  q={pair.q}" for m, pair in rows]
 
 
-def cmd_generalized_little(args) -> int:
-    n = _require_period(args.n)
-    v = parse_window(n, args.v)
-    d = parse_decomposition(n, args.decomposition)
+def cmd_generalized_little(args):
+    v = parse_window(args.n, args.v)
+    d = parse_decomposition(args.n, args.decomposition)
     out = generalized_little(v, args.r, d)
-    if args.json:
-        _emit_json(
-            {
-                "n": n,
-                "v": list(v.window),
-                "r": args.r,
-                "input": str(d),
-                "output": str(out),
-                "product": list(out.product().window),
-            }
-        )
-    else:
-        print(f"{out} {format_window(out.product())}")
-    return 0
+    product = out.product()
+    payload = {
+        "n": args.n,
+        "v": list(v.window),
+        "r": args.r,
+        "input": str(d),
+        "output": str(out),
+        "product": list(product.window),
+    }
+    return 0, payload, [f"{out} {format_window(product)}"]
 
 
-def cmd_stanley_table(args) -> int:
-    n = _require_period(args.n)
-    w = parse_window(n, args.window)
+def _table_record(w, degree, entries, json_value):
+    """The record of a partition-indexed table: its nonzero entries in
+    partition order, each keyed by its partition as text like "2,1,1"."""
+    coefficients = {
+        ",".join(str(p) for p in key): value for key, value in sorted(entries.items()) if value != 0
+    }
+    payload = {
+        "n": w.n,
+        "window": list(w.window),
+        "degree": degree,
+        "coefficients": {key: json_value(value) for key, value in coefficients.items()},
+    }
+    return 0, payload, [f"{key}: {value}" for key, value in coefficients.items()]
+
+
+def cmd_stanley_table(args):
+    w = parse_window(args.n, args.window)
     table = stanley_table(w)
-    if args.json:
-        _emit_json(table.to_json_dict(window=w.window))
-    else:
-        for partition, value in table.items_sorted():
-            print(f"{_partition_key(partition)}: {value}")
-    return 0
+    return _table_record(w, table.degree, table.entries, int)
 
 
-def cmd_expand(args) -> int:
-    n = _require_period(args.n)
-    w = parse_window(n, args.window)
+def cmd_expand(args):
+    w = parse_window(args.n, args.window)
     result = expand_in_affine_schur(w)
     if not result.exact:
         print("expansion residual is nonzero", file=sys.stderr)
-        return 1
-    nonzero = sorted(
-        (label, value) for label, value in result.coefficients.items() if value != 0
-    )
-    if args.json:
-        _emit_json(
-            {
-                "n": n,
-                "window": list(w.window),
-                "degree": w.length(),
-                "coefficients": {
-                    _partition_key(label): str(value) for label, value in nonzero
-                },
-            }
-        )
-    else:
-        for label, value in nonzero:
-            print(f"{_partition_key(label)}: {value}")
-    return 0
+        return 1, None, []
+    return _table_record(w, w.length(), result.coefficients, str)
 
 
 # One sweep per suite, in output order; `all` runs them as one sweep_ball pass.
@@ -175,30 +134,25 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    n = _require_period(args.n)
+def cmd_verify(args):
     if args.max_length < 0:
         raise InputError(f"max length must be nonnegative, got {args.max_length}")
     if args.which == "all":
-        results = sweep_ball(n, args.max_length, list(_SUITES))
-        results["exchange-random"] = exchange_spot_checks(n, samples=200, seed=args.seed)
+        results = sweep_ball(args.n, args.max_length, list(_SUITES))
+        results["exchange-random"] = exchange_spot_checks(args.n, samples=200, seed=args.seed)
     else:
-        results = {args.which: _SUITES[args.which](n, args.max_length)}
+        results = {args.which: _SUITES[args.which](args.n, args.max_length)}
     all_failures = [failure for _, failures in results.values() for failure in failures]
     passed = not all_failures
-    if args.json:
-        summary = {name: {"instances": c, "failures": f} for name, (c, f) in results.items()}
-        _emit_json(
-            {"n": n, "max_length": args.max_length, "suites": summary, "passed": passed}
-        )
-    else:
-        for name, (count, failures) in results.items():
-            status = f"{len(failures)} FAILED" if failures else "ok"
-            print(f"{name}: {count} instances, {status}")
-        for failure in all_failures:
-            print(f"FAIL {failure}")
-        print("all checks passed" if passed else "verification FAILED")
-    return 0 if passed else 1
+    summary = {name: {"instances": c, "failures": f} for name, (c, f) in results.items()}
+    payload = {"n": args.n, "max_length": args.max_length, "suites": summary, "passed": passed}
+    lines = []
+    for name, (count, failures) in results.items():
+        status = f"{len(failures)} FAILED" if failures else "ok"
+        lines.append(f"{name}: {count} instances, {status}")
+    lines += (f"FAIL {failure}" for failure in all_failures)
+    lines.append("all checks passed" if passed else "verification FAILED")
+    return 0 if passed else 1, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.n < 2:
+            raise InputError(f"period must be at least 2, got {args.n}")
+        status, payload, lines = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -276,6 +232,12 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    if not args.json:
+        for line in lines:
+            print(line)
+    elif payload is not None:
+        _emit_json(payload)
+    return status
 
 
 def run() -> None:

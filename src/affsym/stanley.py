@@ -214,21 +214,6 @@ class CoefficientTable(Record):
     def scaled(self, c: int) -> "CoefficientTable":
         return CoefficientTable(self.n, self.degree, {k: c * v for k, v in self.entries.items()})
 
-    def items_sorted(self):
-        return sorted(self.entries.items())
-
-    def to_json_dict(self, window=None) -> dict:
-        out = {
-            "n": self.n,
-            "degree": self.degree,
-            "coefficients": {
-                ",".join(str(p) for p in key): value for key, value in self.items_sorted()
-            },
-        }
-        if window is not None:
-            out["window"] = list(window)
-        return out
-
     @classmethod
     def zero(cls, n: int, degree: int) -> "CoefficientTable":
         return cls(n, degree, {})

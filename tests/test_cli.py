@@ -491,6 +491,24 @@ def test_module_entry_point(child_env):
     assert proc.stdout.splitlines() == ["1,1,1: 2", "2,1: 1"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["covers", "[1]"],
+        ["reduced-words", "[1]"],
+        ["little", "-v", "0", "-a", "0", "-i", "1"],
+        ["generalized-little", "-v", "[1]", "-r", "0", "-d", "0"],
+        ["stanley-table", "[1]"],
+        ["expand", "[1]"],
+        ["verify", "all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_period_below_two_exits_2_before_parsing_the_rest(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "-n", "1", "--json", *argv[1:])
+    assert (code, out, err) == (2, "", "error: period must be at least 2, got 1\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["covers"])
@@ -532,24 +550,83 @@ def test_command_loads_no_fractions_or_decimal(argv, child_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
 
-# stdout SHA-256 and exit status of `verify ... all` runs, recorded at
-# 9683b22 (before the bijection sweep's round-trip kernel and key-list
-# word records); every suite's output must stay byte-identical
-VERIFY_GOLDENS = [
+# stdout SHA-256 of commands that exit 0, text and --json for every
+# subcommand (the README examples): the `verify ... all` digests were
+# recorded at 9683b22 (before the bijection sweep's round-trip kernel and
+# key-list word records), the others at 24fb7d1 (before the handlers
+# returned one record for the CLI to print); all output must stay
+# byte-identical
+STDOUT_GOLDENS = [
     (
-        ("-n", "3", "--max-length", "4", "--json", "--seed", "3", "all"),
+        ("covers", "-n", "4", "[-1,1,4,6]"),
+        "7687f40923b3b10db4a0d9d041680640ec27fc299ed30883e6de2a3cccb60205",
+    ),
+    (
+        ("covers", "-n", "4", "--json", "[-1,1,4,6]"),
+        "b041d56f6c4e45e0240d0960cdea593dba714200eaac53667a64088d0cd0121d",
+    ),
+    (
+        ("covers", "-n", "4", "[-1,1,4,6]", "-r", "2"),
+        "8a47a29f8ae45e0101c0e39335cd145c45c0f40b7f535e715a97498ebd49b538",
+    ),
+    (
+        ("covers", "-n", "4", "--json", "[-1,1,4,6]", "-r", "2"),
+        "c1d9656747a7b63628b7da75f72a806c595d6765ca7c0274e2b187da8d2a6256",
+    ),
+    (
+        ("reduced-words", "-n", "3", "[3,2,1]"),
+        "c204125bc371421a66dc40d2ffd899ddc479e7a087d4a29e70aa9b88cdfbb65c",
+    ),
+    (
+        ("reduced-words", "-n", "3", "--json", "[3,2,1]"),
+        "b7c74cf1ed7d980b1973c0fc475960a433045766f21ba79f0097898b7491ae80",
+    ),
+    (
+        FIGURE_LITTLE,
+        "13c364ee310186e8f2d06b7dfc5254f452585631e0ab763d5e5ef4d11e5af139",
+    ),
+    (
+        (*FIGURE_LITTLE, "--json"),
+        "969ac5ef2f9602913d5b342281e1a34c2221fe48e34d48a9a4d93d82fc885073",
+    ),
+    (
+        ("generalized-little", "-n", "5", "-v", "[1,2,4,3,5]", "-r", "2", "-d", "23"),
+        "9c100c6cf73770c1f0c46480c8ae3ef1c4b56d1368721d3e1edc9e659ac6941b",
+    ),
+    (
+        ("generalized-little", "-n", "5", "--json", "-v", "[1,2,4,3,5]", "-r", "2", "-d", "23"),
+        "2862b09fba18e4c270ce6d07792eb0732e3a5f2c5110bc43569deae3a74e9d67",
+    ),
+    (
+        ("stanley-table", "-n", "3", "[3,2,1]"),
+        "fcd962e9827a81ecd700c7efaa24cfb5604c5d88d4b829d292ee828d9a74c793",
+    ),
+    (
+        ("stanley-table", "-n", "3", "--json", "[3,2,1]"),
+        "81cd248358284fd82aa0ce194f8ee735e81256ee3ddeacecff054a7663bcd60d",
+    ),
+    (
+        ("expand", "-n", "4", "[-1,4,1,6]"),
+        "3a511ee029e47aa271656d3893c2a1f9f35cd5c5fe0edaa438bc7a648fd04450",
+    ),
+    (
+        ("expand", "-n", "4", "--json", "[-1,4,1,6]"),
+        "0c4f6a029313d54a7b89b7c3971a9ccca7a81e53ef49740ade9eed30ab103276",
+    ),
+    (
+        ("verify", "-n", "3", "--max-length", "4", "--json", "--seed", "3", "all"),
         "af965d0b92efbe288eb5e90251cd17b45f8874b9d526133ffdf25d47317f6052",
     ),
     (
-        ("-n", "5", "--max-length", "1", "--seed", "4", "all"),
+        ("verify", "-n", "5", "--max-length", "1", "--seed", "4", "all"),
         "fb9636a9ac509674fa9e3e2dab13944ed6de98645d81eabf7cc1c0c78f062515",
     ),
 ]
 
 
-@pytest.mark.parametrize("args,digest", VERIFY_GOLDENS, ids=[" ".join(a) for a, _ in VERIFY_GOLDENS])
-def test_verify_all_matches_recorded_golden(child_env, args, digest):
+@pytest.mark.parametrize("args,digest", STDOUT_GOLDENS, ids=[" ".join(a) for a, _ in STDOUT_GOLDENS])
+def test_stdout_matches_recorded_golden(child_env, args, digest):
     proc = subprocess.run(
-        [sys.executable, "-m", "affsym", "verify", *args], capture_output=True, env=child_env
+        [sys.executable, "-m", "affsym", *args], capture_output=True, env=child_env
     )
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (0, digest)

@@ -107,3 +107,51 @@ def _process_exits(path):
 def test_os_exit_only_in_the_command_and_the_sweep_workers():
     found = set().union(*(_process_exits(path) for path in SOURCES))
     assert found == PROCESS_EXITS
+
+
+def _cli_functions():
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text(), filename="cli.py")
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(function, name):
+    return [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def _readers(functions, attr):
+    # the functions that read an attribute of this name
+    return {
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    }
+
+
+def test_only_main_writes_stdout_in_the_cli():
+    # one output path: each cmd_* handler returns its record and main
+    # writes it, as one JSON document through _emit_json or as text lines
+    # through one print; every other print goes to stderr, no handler
+    # reads --json, and nothing else touches sys.stdout but run's flush
+    functions = _cli_functions()
+    assert [name for name in functions if name.startswith("cmd_")]
+    stdout_prints = {
+        name: len([call for call in _calls(function, "print") if not call.keywords])
+        for name, function in functions.items()
+    }
+    assert {name: count for name, count in stdout_prints.items() if count} == {
+        "_emit_json": 1,
+        "main": 1,
+    }
+    for name, function in functions.items():
+        for call in _calls(function, "print"):
+            assert [ast.unparse(k) for k in call.keywords] in ([], ["file=sys.stderr"]), name
+    assert {name for name, function in functions.items() if _calls(function, "_emit_json")} == {
+        "main"
+    }
+    assert _readers(functions, "json") == {"main"}
+    assert _readers(functions, "stdout") == {"run"}
