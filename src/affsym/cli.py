@@ -24,6 +24,7 @@ from .verify import (
     chevalley_sweep,
     exchange_spot_checks,
     garsia_little_sweep,
+    positivity_sweep,
     sweep_ball,
 )
 from .words import evaluate, is_reduced, parse_word, reduced_words
@@ -126,11 +127,14 @@ def cmd_expand(args):
     return _table_record(w, w.length(), result.coefficients, str)
 
 
-# One sweep per suite, in output order; `all` runs them as one sweep_ball pass.
+# One sweep per suite; `all` runs the identity suites, in this order, as
+# one sweep_ball pass.
+_IDENTITIES = ("garsia-little", "chevalley", "bijection")
 _SUITES = {
     "garsia-little": garsia_little_sweep,
     "chevalley": chevalley_sweep,
     "bijection": bijection_sweep,
+    "positivity": positivity_sweep,
 }
 
 
@@ -138,7 +142,7 @@ def cmd_verify(args):
     if args.max_length < 0:
         raise InputError(f"max length must be nonnegative, got {args.max_length}")
     if args.which == "all":
-        results = sweep_ball(args.n, args.max_length, list(_SUITES))
+        results = sweep_ball(args.n, args.max_length, _IDENTITIES)
         results["exchange-random"] = exchange_spot_checks(args.n, samples=200, seed=args.seed)
     else:
         results = {args.which: _SUITES[args.which](args.n, args.max_length)}
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", type=int, default=3, help="bound on l(v)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     p.add_argument(
-        "which", choices=["chevalley", "garsia-little", "bijection", "all"]
+        "which", choices=["chevalley", "garsia-little", "bijection", "positivity", "all"]
     )
     p.set_defaults(handler=cmd_verify)
 

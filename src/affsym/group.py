@@ -373,7 +373,6 @@ def bott_level_sizes(n: int, max_length: int) -> list[int]:
     return series
 
 
-@lru_cache(maxsize=None)
 def bruhat_ball(n: int, max_length: int) -> tuple[tuple[AffinePermutation, ...], ...]:
     """Tuple indexed by length l <= max_length of all elements of that length.
 

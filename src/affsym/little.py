@@ -455,11 +455,13 @@ class AlphaDecomposition(Value):
 
 
 def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
-    """Parse slash-separated factor subsets, e.g. `34/02/1`; a letter
-    repeated within a factor is a FormatError."""
+    """Parse slash-separated factor subsets, e.g. `34/02/1`; an empty
+    factor or a letter repeated within a factor is a FormatError."""
     factors = []
     for part in text.strip().split("/"):
         letters = parse_word(n, part).letters
+        if not letters:
+            raise FormatError(f"empty factor in {text!r}")
         if len(set(letters)) < len(letters):
             raise FormatError(f"factor {part!r} repeats a letter")
         factors.append(CyclicSubset(n, letters))

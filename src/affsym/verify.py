@@ -33,6 +33,10 @@ with two CPUs or more (the break-even measured on 2 cores; more were
 never timed), else one, as without `os.fork`.  Tests patch it to pin P.
 `gc.freeze()` keeps the objects made before the sweep out of its garbage
 collections, unless the caller has frozen objects itself.
+
+`positivity_sweep` is not such a suite: it expands each element of the
+ball in the Grassmannian tables, in one process, one instance per
+element.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .stanley import (
     chevalley_reports,
     compositions_bounded,
     decomposition_masks,
+    expand_in_affine_schur,
     garsia_little_reports,
 )
 from .words import (
@@ -371,6 +376,27 @@ def chevalley_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
 
 def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return sweep_ball(n, max_length, ["bijection"])["bijection"]
+
+
+def positivity_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
+    """The expansion of every element of the ball in the Grassmannian
+    tables, one instance per element: a failure per nonzero residual and
+    per negative coefficient.  The affine Stanley symmetric functions
+    expand nonnegatively in the affine Schur functions (Lam, JAMS 21,
+    2008), so any failure is a fault of this program."""
+    levels, failures = bruhat_ball(n, max_length), []
+    for level in levels:
+        for w in level:
+            result = expand_in_affine_schur(w)
+            if not result.exact:
+                failures.append(f"nonzero expansion residual at {format_window(w)}")
+            failures += (
+                f"negative coefficient {value} at {','.join(map(str, label))} "
+                f"in the expansion of {format_window(w)}"
+                for label, value in sorted(result.coefficients.items())
+                if value < 0
+            )
+    return sum(map(len, levels)), failures
 
 
 def _random_reduced_word(rng: random.Random, n: int) -> Word:

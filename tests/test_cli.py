@@ -7,6 +7,7 @@ import pytest
 
 import affsym
 import affsym.little
+import affsym.verify
 import affsym.words
 from affsym.cli import main
 
@@ -26,6 +27,25 @@ def doubled(n, letters):
     return real(n, letters) * 2
 for module in (affsym.words, affsym.little):
     module.sweep = doubled
+if __debug__:
+    sys.exit("asserts are on: run with -O")
+sys.exit(main(sys.argv[1:]))
+"""
+
+SMALL_POSITIVITY = ("verify", "-n", "3", "--max-length", "3", "positivity")
+
+# Marks the expansion of every element of length 2 or more inexact, as a
+# nonzero residual would.
+INEXACT_EXPANSION = """
+import sys
+import affsym.verify
+from affsym.cli import main
+real = affsym.verify.expand_in_affine_schur
+def inexact(w):
+    result = real(w)
+    result.exact = w.length() < 2
+    return result
+affsym.verify.expand_in_affine_schur = inexact
 if __debug__:
     sys.exit("asserts are on: run with -O")
 sys.exit(main(sys.argv[1:]))
@@ -355,6 +375,16 @@ def test_generalized_little_bad_cover_exits_3(capsys):
     assert code == 3 and err
 
 
+@pytest.mark.parametrize("decomposition", ["1/", ""])
+def test_generalized_little_empty_factor_exits_2(capsys, decomposition):
+    # every factor of a decomposition has a letter: `1/` is not (1, 0)
+    code, out, err = run_cli(
+        capsys, "generalized-little", "-n", "3", "-v", "[1,2,3]", "-r", "1",
+        "-d", decomposition,
+    )
+    assert (code, out, err) == (2, "", f"error: empty factor in {decomposition!r}\n")
+
+
 @pytest.mark.parametrize("decomposition", ["11", "1,1", "0/11"])
 def test_generalized_little_repeated_letter_in_a_factor_exits_2(capsys, decomposition):
     # a factor is a set of residues: a repeated letter is a typo, not {1}
@@ -471,6 +501,69 @@ def test_verify_json_deterministic(capsys):
         "bijection",
         "exchange-random",
     }
+
+
+def test_verify_positivity_counts(capsys, monkeypatch):
+    # one instance per element of the ball (1 + 3 + 6 + 9), whose
+    # expansions have 22 nonzero terms, all positive
+    real, terms = affsym.verify.expand_in_affine_schur, []
+
+    def counted(w):
+        result = real(w)
+        terms.extend(value for value in result.coefficients.values() if value)
+        return result
+
+    monkeypatch.setattr(affsym.verify, "expand_in_affine_schur", counted)
+    code, out, err = run_cli(capsys, *SMALL_POSITIVITY)
+    assert (code, out, err) == (0, "positivity: 19 instances, ok\nall checks passed\n", "")
+    assert len(terms) == 22 and min(terms) > 0
+
+
+def test_verify_positivity_json(capsys):
+    code, out, _ = run_cli(capsys, *SMALL_POSITIVITY, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 3,
+        "max_length": 3,
+        "suites": {"positivity": {"instances": 19, "failures": []}},
+        "passed": True,
+    }
+
+
+def test_verify_positivity_negative_coefficient_exits_1(capsys, monkeypatch):
+    real = affsym.verify.expand_in_affine_schur
+
+    def negated(w):
+        result = real(w)
+        if w.window == (3, 2, 1):
+            result.coefficients = {key: -value for key, value in result.coefficients.items()}
+        return result
+
+    monkeypatch.setattr(affsym.verify, "expand_in_affine_schur", negated)
+    code, out, err = run_cli(capsys, *SMALL_POSITIVITY)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "positivity: 19 instances, 2 FAILED",
+        "FAIL negative coefficient -1 at 1,1,1 in the expansion of [3,2,1]",
+        "FAIL negative coefficient -1 at 2,1 in the expansion of [3,2,1]",
+        "verification FAILED",
+    ]
+
+
+def test_verify_positivity_residual_exits_1_under_optimize(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INEXACT_EXPANSION, *SMALL_POSITIVITY],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, len(lines)) == (1, "", 17)
+    assert lines[:2] == [
+        "positivity: 19 instances, 15 FAILED",
+        "FAIL nonzero expansion residual at [-1,3,4]",
+    ]
+    assert lines[-1] == "verification FAILED"
 
 
 def test_outputs_are_byte_identical(capsys):

@@ -549,15 +549,11 @@ sys.exit(main(sys.argv[1:]))
 @pytest.fixture
 def merged_generator(monkeypatch):
     real = AffinePermutation.times_simple
-    bruhat_ball.cache_clear()
     monkeypatch.setattr(
         AffinePermutation,
         "times_simple",
         lambda self, i: real(self, 1 if self.is_identity() and i == 2 else i),
     )
-    yield
-    monkeypatch.undo()
-    bruhat_ball.cache_clear()
 
 
 def test_bruhat_ball_missing_element_raises(merged_generator):

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "affsym").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "affsym").glob("*.py"))
+LINTED = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda path: path.name)
 def test_no_assert_in_source(path):
     # checks must be typed errors: python -O strips assert statements
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -15,7 +17,7 @@ def test_no_assert_in_source(path):
 
 
 @pytest.mark.parametrize(
-    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+    "path", [path for path in LINTED if path.name != "__init__.py"], ids=lambda path: path.name
 )
 def test_no_unused_imports_in_source(path):
     # every imported name is read somewhere, as a name or the base of an
