@@ -435,10 +435,12 @@ class ExpansionResult(Record):
         self.coefficients, self.exact = coefficients, exact
 
 
-def expand_in_affine_schur(w: AffinePermutation) -> ExpansionResult:
+def expand_in_affine_schur(w: AffinePermutation, *, basis=None) -> ExpansionResult:
     """Solve for the table of w in the span of the same-degree Grassmannian
-    tables, by unitriangular back-substitution."""
-    basis = affine_schur_basis(w.n, w.length())
+    tables, by unitriangular back-substitution; basis, if given, is
+    affine_schur_basis(w.n, w.length()), built once for many w."""
+    if basis is None:
+        basis = affine_schur_basis(w.n, w.length())
     solution, residual = _solve_unitriangular(basis, stanley_table(w))
     coefficients = {label: value for (_, label, _), value in zip(basis, solution)}
     return ExpansionResult(coefficients, not any(residual.values()))

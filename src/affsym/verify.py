@@ -2,10 +2,12 @@
 
 One pass, `_sweep(n, levels, names)`, walks the given levels in order
 (levels[l] holds elements of length l; `sweep_ball` passes the Bruhat
-ball) and computes the covers of each v once; every requested suite
-checks (v, r) for each residue r from those covers and keeps its own
-failure list of human-readable descriptions.  The counting suites
-compare factorization counts only; the bijection suite checks the
+ball) and computes the covers of each v once if a suite reads them.
+Every requested suite keeps its own failure list of human-readable
+descriptions.  The identity suites check (v, r) for each residue r from
+the covers; positivity expands v alone in the Grassmannian tables of its
+degree, built once per level.  The counting suites compare
+factorization counts only; the bijection suite checks the
 factor-level Little map once per (v, r), profile by profile, against
 independent enumeration.  A level's store holds, per cover w, its
 alpha-decompositions at every profile from one peel pass.  The all-ones
@@ -33,10 +35,6 @@ with two CPUs or more (the break-even measured on 2 cores; more were
 never timed), else one, as without `os.fork`.  Tests patch it to pin P.
 `gc.freeze()` keeps the objects made before the sweep out of its garbage
 collections, unless the caller has frozen objects itself.
-
-`positivity_sweep` is not such a suite: it expands each element of the
-ball in the Grassmannian tables, in one process, one instance per
-element.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .group import (
 )
 from .little import MarkedWord, phi, walks
 from .stanley import (
+    affine_schur_basis,
     chevalley_reports,
     compositions_bounded,
     decomposition_masks,
@@ -200,13 +199,36 @@ def _bijection_level(n: int, length: int):
     return check
 
 
+def _positivity_level(n: int, length: int):
+    """Expands each v in the Grassmannian tables of its degree, built once
+    for the level.  A nonzero residual or a negative coefficient is a
+    failure: the expansion is nonnegative (Lam, JAMS 21, 2008)."""
+    basis = affine_schur_basis(n, length)
+
+    def check(v, covers):
+        result = expand_in_affine_schur(v, basis=basis)
+        failures = [] if result.exact else [f"nonzero expansion residual at {format_window(v)}"]
+        return failures + [
+            f"negative coefficient {value} at {','.join(map(str, label))} "
+            f"in the expansion of {format_window(v)}"
+            for label, value in sorted(result.coefficients.items())
+            if value < 0
+        ]
+
+    return check
+
+
 # Per suite, a function of (n, length) that starts a level and returns
 # its check of (v, covers of v), which lists the failures at v.
 _LEVELS = {
     "garsia-little": _cover_sum_level,
     "chevalley": _chevalley_level,
     "bijection": _bijection_level,
+    "positivity": _positivity_level,
 }
+# The suites whose check reads v alone, one instance per v: handed no
+# covers (None), so a pass of them alone computes none.
+_ALONE = {"positivity"}
 
 
 # The smallest ball split across processes: the smallest ball size at
@@ -246,6 +268,7 @@ def _share(n: int, levels, names, k: int, processes: int, first, parent=None):
     share lowers it when it raises and checks no v beyond it.  A worker
     passes its parent's pid and exits at its next v once it is gone."""
     records, start = [], 0
+    covered = not _ALONE.issuperset(names)
     for length, level in enumerate(levels):
         at = start
         try:
@@ -256,7 +279,7 @@ def _share(n: int, levels, names, k: int, processes: int, first, parent=None):
                 if parent is not None and os.getppid() != parent:
                     os._exit(1)
                 v = level[at - start]
-                covers = covers_above(v)
+                covers = covers_above(v) if covered else None
                 failures = [check(v, covers) for check in checks]
                 if any(failures):
                     records.append((at, failures))
@@ -302,14 +325,14 @@ def _fork(n: int, levels, names, k: int, processes: int, first):
 def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
     """Each named suite's (instance count, failures) over levels, levels[l]
     holding elements of length l: one pass, with the covers of each v
-    computed once and handed to every suite, which checks all n residues r
-    at v, so n instances per element walked.  The pass is split over
-    _processes(size) processes (see _share); their records merge in order,
-    and the first exception met is raised, as one process would meet it.
-    Every worker is reaped before this returns, and killed first if the
-    parent stops early.  Unless the caller has frozen objects itself
-    (gc.get_freeze_count()), the objects made before the sweep are frozen
-    out of its garbage collections (gc.freeze) and unfrozen after."""
+    computed once if a suite reads them and handed to every suite; n
+    instances per element walked, one for a suite in _ALONE.  The pass is
+    split over _processes(size) processes (see _share); their records
+    merge in order, and the first exception met is raised, as one process
+    would meet it.  Every worker is reaped before this returns, and killed
+    first if the parent stops early.  Unless the caller has frozen objects
+    itself (gc.get_freeze_count()), the objects made before the sweep are
+    frozen out of its garbage collections (gc.freeze) and unfrozen after."""
     names = list(names)
     size = sum(map(len, levels))
     processes, workers, data, statuses = _processes(size), [], [], []
@@ -358,7 +381,7 @@ def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
             raise outcome
         for found, at_v in zip(failures.values(), outcome):
             found += at_v
-    return {name: (n * size, found) for name, found in failures.items()}
+    return {name: ((1 if name in _ALONE else n) * size, found) for name, found in failures.items()}
 
 
 def sweep_ball(n: int, max_length: int, names) -> dict[str, tuple[int, list[str]]]:
@@ -379,24 +402,7 @@ def bijection_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
 
 
 def positivity_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
-    """The expansion of every element of the ball in the Grassmannian
-    tables, one instance per element: a failure per nonzero residual and
-    per negative coefficient.  The affine Stanley symmetric functions
-    expand nonnegatively in the affine Schur functions (Lam, JAMS 21,
-    2008), so any failure is a fault of this program."""
-    levels, failures = bruhat_ball(n, max_length), []
-    for level in levels:
-        for w in level:
-            result = expand_in_affine_schur(w)
-            if not result.exact:
-                failures.append(f"nonzero expansion residual at {format_window(w)}")
-            failures += (
-                f"negative coefficient {value} at {','.join(map(str, label))} "
-                f"in the expansion of {format_window(w)}"
-                for label, value in sorted(result.coefficients.items())
-                if value < 0
-            )
-    return sum(map(len, levels)), failures
+    return sweep_ball(n, max_length, ["positivity"])["positivity"]
 
 
 def _random_reduced_word(rng: random.Random, n: int) -> Word:

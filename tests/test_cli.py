@@ -41,8 +41,8 @@ import sys
 import affsym.verify
 from affsym.cli import main
 real = affsym.verify.expand_in_affine_schur
-def inexact(w):
-    result = real(w)
+def inexact(w, **kw):
+    result = real(w, **kw)
     result.exact = w.length() < 2
     return result
 affsym.verify.expand_in_affine_schur = inexact
@@ -508,8 +508,8 @@ def test_verify_positivity_counts(capsys, monkeypatch):
     # expansions have 22 nonzero terms, all positive
     real, terms = affsym.verify.expand_in_affine_schur, []
 
-    def counted(w):
-        result = real(w)
+    def counted(w, **kw):
+        result = real(w, **kw)
         terms.extend(value for value in result.coefficients.values() if value)
         return result
 
@@ -533,8 +533,8 @@ def test_verify_positivity_json(capsys):
 def test_verify_positivity_negative_coefficient_exits_1(capsys, monkeypatch):
     real = affsym.verify.expand_in_affine_schur
 
-    def negated(w):
-        result = real(w)
+    def negated(w, **kw):
+        result = real(w, **kw)
         if w.window == (3, 2, 1):
             result.coefficients = {key: -value for key, value in result.coefficients.items()}
         return result

@@ -371,6 +371,20 @@ def test_generalized_little_single_factor_degenerates_to_cd_step():
                     assert out.factors == (cd_cover_step(MarkedSubset(A, mark)).subset,)
 
 
+def test_word_level_walk_need_not_reproduce_the_factor_level_output():
+    # no initial reduced word of w makes phi_r spell the factors that
+    # generalized_little gives: the only word 02 of w = s0 s2 goes to 01,
+    # that is s0 s1, while the factor {0, 1} is s1 s0, another left cover
+    v, w = from_window(3, [0, 2, 4]), from_window(3, [0, 4, 2])
+    d = AlphaDecomposition(3, (CyclicSubset(3, (0, 2)),))
+    assert d.product() == w and reduced_words(w) == [Word(3, (0, 2))]
+    x, c = phi_r(v, 2, Word(3, (0, 2)))
+    assert (x, c) == (from_window(3, [2, 0, 4]), Word(3, (0, 1)))
+    out = generalized_little(v, 2, d)
+    assert out.factors == (CyclicSubset(3, (0, 1)),)
+    assert out.product() == from_window(3, [0, 1, 5]) != x
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_generalized_little_round_trip_and_counts(n):
     for l in range(4):

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import affsym.cli
 import affsym.group
 import affsym.little
 import affsym.stanley
@@ -378,6 +379,35 @@ def test_verify_all_computes_covers_once_per_element(monkeypatch, capsys):
     assert len(calls) == 69
 
 
+@pytest.mark.parametrize("n, max_length", [(3, 5), (4, 6)])
+def test_positivity_sweep_computes_no_covers_and_one_basis_per_level(n, max_length, monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
+    # positivity reads v alone, and each level's basis serves all of its
+    # elements, whichever module's binding a suite would call
+    calls = collections.Counter()
+    for module, name in [
+        (affsym.group, "covers_above"),
+        (affsym.stanley, "covers_above"),
+        (affsym.verify, "covers_above"),
+        (affsym.stanley, "affine_schur_basis"),
+        (affsym.verify, "affine_schur_basis"),
+    ]:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    size = sum(bott_level_sizes(n, max_length))
+    assert sweep_ball(n, max_length, ["positivity"]) == {"positivity": (size, [])}
+    assert calls == {"affine_schur_basis": max_length + 1}
+
+
+def test_every_verify_suite_is_a_suite_of_the_one_pass():
+    # each single-suite `verify` choice and each suite that reads v alone
+    # runs as a level of _sweep, so none walks the ball on its own
+    assert set(affsym.cli._SUITES) | affsym.verify._ALONE <= set(affsym.verify._LEVELS)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_pass_matches_one_suite_sweeps(n):
     # each suite's (count, failures) from the pass of all three, as alone
@@ -459,6 +489,15 @@ def test_frontier_instance_counts_follow_bott():
     }
     for n, max_length, _, count, _ in rows:
         assert int(count.replace(",", "")) == FRONTIER[int(n), int(max_length)]
+    # the positivity suite checks one instance per element of length <= L
+    rows = re.findall(
+        r"^\| `affsym verify -n (\d+) --max-length (\d+) positivity` \| ([\d,]+) \|",
+        README.read_text(),
+        re.MULTILINE,
+    )
+    assert {(int(n), int(l)) for n, l, _ in rows} == {(5, 11), (6, 9), (7, 8), (4, 16)}
+    for n, max_length, count in rows:
+        assert int(count.replace(",", "")) == sum(bott_level_sizes(int(n), int(max_length)))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +541,17 @@ def test_processes_follow_the_cpus_and_the_ball_size(monkeypatch):
 
 def _a_fault_in_each_suite(monkeypatch):
     # the counting suites' first report at each v gets one side doubled,
-    # and the bijection suite's forward walks move an image bit
+    # the bijection suite's forward walks move an image bit, and the
+    # expansion of each v of odd length has its coefficients negated
+    real_expand = affsym.verify.expand_in_affine_schur
+
+    def negated(w, **kw):
+        result = real_expand(w, **kw)
+        if w.length() % 2:
+            result.coefficients = {key: -value for key, value in result.coefficients.items()}
+        return result
+
+    monkeypatch.setattr(affsym.verify, "expand_in_affine_schur", negated)
     faults = (("garsia_little_reports", "plus_table"), ("chevalley_reports", "right_table"))
     for name, field in faults:
         real = getattr(affsym.verify, name)
@@ -517,8 +566,8 @@ def _a_fault_in_each_suite(monkeypatch):
 
 
 @pytest.mark.parametrize("faulty", [False, True])
-def test_split_sweep_matches_one_process(faulty, processes, monkeypatch):
-    names = ["garsia-little", "chevalley", "bijection"]
+def test_split_sweep_matches_one_process(faulty, processes, monkeypatch, capsys):
+    names = ["garsia-little", "chevalley", "bijection", "positivity"]
     if faulty:
         _a_fault_in_each_suite(monkeypatch)
     for n in (2, 3, 4):
@@ -528,6 +577,13 @@ def test_split_sweep_matches_one_process(faulty, processes, monkeypatch):
                 serial.setattr(affsym.verify, "_processes", lambda size: 1)
                 assert split == sweep_ball(n, max_length, names)
     assert all(failures for _, failures in split.values()) == faulty
+    # the printed positivity report over the 46 elements of length <= 5
+    argv = ["verify", "-n", "3", "--max-length", "5", "positivity"]
+    printed = main(argv), capsys.readouterr()
+    with monkeypatch.context() as serial:
+        serial.setattr(affsym.verify, "_processes", lambda size: 1)
+        assert printed == (main(argv), capsys.readouterr())
+    assert printed[1].out.count("\nFAIL ") == 36 * faulty
 
 
 def _failures_at_each_v(monkeypatch, n, max_length, names):
@@ -559,7 +615,7 @@ def _failures_at_each_v(monkeypatch, n, max_length, names):
 def test_sweep_over_given_levels_matches_the_ball_sweep_at_those_v(
     fault, processes, monkeypatch
 ):
-    names = ["garsia-little", "chevalley", "bijection"]
+    names = ["garsia-little", "chevalley", "bijection", "positivity"]
     if fault == "a fault in each suite":
         _a_fault_in_each_suite(monkeypatch)
     elif fault is not None:
@@ -570,7 +626,10 @@ def test_sweep_over_given_levels_matches_the_ball_sweep_at_those_v(
             levels = [level[::2] for level in bruhat_ball(n, max_length)]
             walked = [v for level in levels for v in level]
             expected = {
-                name: (n * len(walked), [f for v in walked for f in found[name][v]])
+                name: (
+                    (1 if name == "positivity" else n) * len(walked),
+                    [f for v in walked for f in found[name][v]],
+                )
                 for name in names
             }
             assert affsym.verify._sweep(n, levels, names) == expected
