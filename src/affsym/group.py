@@ -132,7 +132,7 @@ class AffinePermutation(Value):
         return AffinePermutation(n, tuple(w))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _length(n: int, window: tuple[int, ...]) -> int:
     # sum over window positions i < j of |floor((w(j) - w(i)) / n)|;
     # this equals the inversion count because class (i, j) contributes

@@ -61,15 +61,14 @@ from .group import (
     Reflection,
     Value,
     cover_reflection,
-    identity,
     is_r_cover,
     letters_window,
     reflection_pair,
+    _length,
 )
 from .words import (
     CyclicSubset,
     Word,
-    cd_element,
     cd_letters,
     evaluate,
     mask_members,
@@ -434,14 +433,13 @@ class AlphaDecomposition(Value):
     def __init__(self, n: int, factors: tuple[CyclicSubset, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "factors", factors)
-        w = identity(n)
-        for factor in factors:
-            if factor.n != n:
-                raise InvalidDecompositionError("factors with mixed periods")
-            w = w * cd_element(factor)
-        if w.length() != sum(len(f) for f in factors):
+        if any(factor.n != n for factor in factors):
+            raise InvalidDecompositionError("factors with mixed periods")
+        letters = [a for f in factors for a in cd_letters(n, subset_mask(f.members))]
+        window = letters_window(n, letters)
+        if _length(n, window) != len(letters):
             raise InvalidDecompositionError(f"factor lengths do not add: {self}")
-        object.__setattr__(self, "_product", w)
+        object.__setattr__(self, "_product", AffinePermutation(n, window))
 
     @property
     def alpha(self) -> tuple[int, ...]:

@@ -166,7 +166,7 @@ def decomposition_masks(w: AffinePermutation, profiles) -> dict[tuple[int, ...],
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _coefficient(n: int, u: tuple[int, ...], alpha: tuple[int, ...]) -> int:
     """The number of alpha-decompositions of the element with inverse window u."""
     if not alpha:

@@ -22,7 +22,7 @@ the maximal cyclic intervals of A, and all evaluate to one element w(A).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -112,24 +112,30 @@ def is_reduced(a: Word) -> bool:
     return word_record(a.n, a.letters).reduced
 
 
-@lru_cache(maxsize=None)
-def _reduced_words(w: AffinePermutation) -> tuple[tuple[int, ...], ...]:
-    if w.is_identity():
-        return ((),)
-    out = []
-    for i in w.right_descents():
-        for prefix in _reduced_words(w.times_simple(i)):
-            out.append(prefix + (i,))
-    return tuple(sorted(out))
+def _reduced_words():
+    """A fresh memo of sorted reduced words, as letter tuples, by element:
+    one per public call, which calls it, so nothing outlives the call."""
+
+    @cache
+    def words(w: AffinePermutation) -> tuple[tuple[int, ...], ...]:
+        if w.is_identity():
+            return ((),)
+        out = []
+        for i in w.right_descents():
+            for prefix in words(w.times_simple(i)):
+                out.append(prefix + (i,))
+        return tuple(sorted(out))
+
+    return words
 
 
 def reduced_words(w: AffinePermutation) -> list[Word]:
     """All reduced words of w, lexicographically sorted."""
-    return [Word(w.n, letters) for letters in _reduced_words(w)]
+    return [Word(w.n, letters) for letters in _reduced_words()(w)]
 
 
 def count_reduced_words(w: AffinePermutation) -> int:
-    return len(_reduced_words(w))
+    return len(_reduced_words()(w))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +335,8 @@ def cd_letters(n: int, mask: int) -> tuple[int, ...]:
 
 def cd_element(subset: CyclicSubset) -> AffinePermutation:
     """The cyclically decreasing element w(A); its length is |A|."""
-    return _cd_element(subset.n, subset.members)
-
-
-@lru_cache(maxsize=None)
-def _cd_element(n: int, members: tuple[int, ...]) -> AffinePermutation:
-    return evaluate(canonical_cd_word(CyclicSubset(n, members)))
+    n = subset.n
+    return AffinePermutation(n, letters_window(n, cd_letters(n, subset_mask(subset.members))))
 
 
 def cd_subset(w: AffinePermutation) -> CyclicSubset | None:
@@ -353,8 +355,8 @@ def cd_subset(w: AffinePermutation) -> CyclicSubset | None:
 
 def cyclically_decreasing_elements(n: int) -> list[AffinePermutation]:
     """All 2^n - 1 cyclically decreasing elements, one per proper subset."""
-    out = []
-    for k in range(n):
-        for members in itertools.combinations(range(n), k):
-            out.append(_cd_element(n, members))
-    return out
+    return [
+        cd_element(CyclicSubset(n, members))
+        for k in range(n)
+        for members in itertools.combinations(range(n), k)
+    ]

@@ -1,3 +1,4 @@
+import importlib
 import os
 from pathlib import Path
 
@@ -14,3 +15,17 @@ def child_env():
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return dict(env, PYTHONPATH=os.pathsep.join(path for path in paths if path))
+
+
+@pytest.fixture
+def module_memos():
+    """Every module-level lru_cache of affsym, by module.name."""
+    found = {}
+    for path in sorted((ROOT / "src" / "affsym").glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"affsym.{path.stem}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                found[f"{path.stem}.{value.__name__}"] = value
+    return found

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ import affsym.little
 import affsym.verify
 import affsym.words
 from affsym.cli import main
+from affsym.group import from_window
 
 FIGURE_LITTLE = ("little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "5")
 SMALL_BIJECTION = ("verify", "-n", "3", "--max-length", "2", "bijection")
@@ -33,6 +36,8 @@ sys.exit(main(sys.argv[1:]))
 """
 
 SMALL_POSITIVITY = ("verify", "-n", "3", "--max-length", "3", "positivity")
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Marks the expansion of every element of length 2 or more inexact, as a
 # nonzero residual would.
@@ -214,6 +219,33 @@ def test_input_past_the_recursion_limit_exits_3_without_a_traceback(command, chi
     assert proc.stderr.startswith("error: input too large: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, length", [("reduced-words", 494), ("stanley-table", 494), ("expand", 493)]
+)
+def test_input_at_the_recursion_limit_still_answers(command, length, child_env):
+    # README's n = 2 rows under "Exit status", from below: both elements
+    # of the longest length a command answers, each with one reduced word
+    # and a table of one entry, as cold processes
+    rows = re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (\d+) \| ", README.read_text(), re.M)
+    answers = {name.strip("`"): int(l) for names, l in rows for name in names.split(", ")}
+    assert answers[command] == length
+    for window in ([1 - length, length + 2], [length + 1, 2 - length]):
+        assert from_window(2, window).length() == length
+        proc = subprocess.run(
+            [sys.executable, "-m", "affsym", command, "-n", "2", str(window).replace(" ", "")],
+            capture_output=True,
+            text=True,
+            env=child_env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), window
+        [line] = proc.stdout.splitlines()
+        if command == "reduced-words":
+            assert len(line) == length and "00" not in line and "11" not in line
+        else:
+            assert line == ",".join("1" * length) + ": 1"
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +491,20 @@ def test_expand_json(capsys):
     payload = json.loads(out)
     assert payload["coefficients"] == {"2,1,1": "1", "2,2": "1"}
     assert payload["degree"] == 4
+
+
+@pytest.mark.parametrize("command, value", [("stanley-table", 1), ("expand", "1")])
+def test_degree_zero_table_keys_the_empty_partition_by_the_empty_string(capsys, command, value):
+    assert run_cli(capsys, command, "-n", "3", "[1,2,3]") == (0, ": 1\n", "")
+    code, out, _ = run_cli(capsys, command, "-n", "3", "--json", "[1,2,3]")
+    payload = {"n": 3, "degree": 0, "window": [1, 2, 3], "coefficients": {"": value}}
+    assert (code, json.loads(out)) == (0, payload)
+
+
+def test_identity_has_one_empty_reduced_word(capsys):
+    assert run_cli(capsys, "reduced-words", "-n", "3", "[1,2,3]") == (0, "\n", "")
+    code, out, _ = run_cli(capsys, "reduced-words", "-n", "3", "--json", "[1,2,3]")
+    assert (code, json.loads(out)) == (0, {"n": 3, "window": [1, 2, 3], "reduced_words": [""]})
 
 
 # ---------------------------------------------------------------------------

@@ -649,8 +649,35 @@ def test_generalized_little_rejects_bad_cover():
 
 def test_alpha_decomposition_validates_additivity():
     # s_1 * s_1 collapses, so ({1}, {1}) is not length-additive
-    with pytest.raises(InvalidDecompositionError):
+    with pytest.raises(InvalidDecompositionError, match=r"^factor lengths do not add: 1/1$"):
         AlphaDecomposition(3, (CyclicSubset(3, (1,)), CyclicSubset(3, (1,))))
+
+
+def test_alpha_decomposition_rejects_mixed_periods():
+    for factors in [
+        (CyclicSubset(3, (1,)), CyclicSubset(4, (3,))),
+        (CyclicSubset(4, (3,)), CyclicSubset(3, (1,))),
+        (CyclicSubset(2, (1,)),),
+    ]:
+        with pytest.raises(InvalidDecompositionError, match=r"^factors with mixed periods$"):
+            AlphaDecomposition(3, factors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_alpha_decomposition_product_matches_the_element_chain(n):
+    # the product is one window of the factors' concatenated canonical
+    # letters; its oracle multiplies their elements, as it was first computed
+    found = 0
+    for l in range(6):
+        for w in elements_of_length(n, l):
+            for alpha in compositions_bounded(l, n - 1):
+                for d in alpha_decompositions(w, alpha):
+                    chain = identity(n)
+                    for factor in d.factors:
+                        chain = chain * cd_element(factor)
+                    assert d.product() == chain == w
+                    found += 1
+    assert found
 
 
 # ---------------------------------------------------------------------------

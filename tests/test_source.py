@@ -157,3 +157,25 @@ def test_only_main_writes_stdout_in_the_cli():
     }
     assert _readers(functions, "json") == {"main"}
     assert _readers(functions, "stdout") == {"run"}
+
+
+# The memos that outlive a call are tables keyed by n and a size, mask,
+# letter, length profile or degree, never by an element, so a long-lived
+# process holds at most the tables of the n and degrees it has met.  Any
+# other module-level memo is keyed by elements and has a fixed maxsize.
+N_BOUNDED_MEMOS = {
+    "words.cd_letters",
+    "little._move",
+    "little._layout",
+    "stanley._cd_masks",
+    "stanley._partitions",
+    "stanley._commutation_certificate",
+}
+
+
+def test_module_memos_are_tables_keyed_by_n_or_have_a_maxsize(module_memos):
+    assert N_BOUNDED_MEMOS <= set(module_memos)
+    unbounded = {
+        name for name, memo in module_memos.items() if memo.cache_parameters()["maxsize"] is None
+    }
+    assert unbounded - N_BOUNDED_MEMOS == set()

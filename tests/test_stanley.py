@@ -203,10 +203,11 @@ def test_decomposition_masks_of_an_unused_profile_are_empty():
 def test_all_ones_decompositions_are_the_reduced_words(n):
     # the bijection sweep reads each cover's reduced words off its
     # all-ones decompositions, in the order of reduced_words
+    reduced = _reduced_words()
     for l in range(6):
         ones = (1,) * l
         for w in elements_of_length(n, l):
-            words = [tuple(1 << a for a in letters) for letters in _reduced_words(w)]
+            words = [tuple(1 << a for a in letters) for letters in reduced(w)]
             assert decomposition_masks(w, [ones])[ones] == words
 
 

@@ -18,6 +18,7 @@ from affsym.errors import (
 )
 from affsym.group import (
     Reflection,
+    bruhat_ball,
     bruhat_leq,
     elements_of_length,
     from_window,
@@ -420,6 +421,34 @@ def test_canonical_cd_word_and_element():
     assert cd_element(CyclicSubset(4, (2,))) == simple(4, 2)
     with pytest.raises(FullSetError):
         CyclicSubset(3, (0, 1, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cd_element_window_matches_its_object_oracles(n):
+    # cd_element reads the window of the tabulated canonical letters; its
+    # oracles are the evaluated canonical word, as the element was first
+    # computed, and the product of simple reflection elements
+    elements = []
+    for k in range(n):
+        for members in itertools.combinations(range(n), k):
+            A = CyclicSubset(n, members)
+            word = canonical_cd_word(A)
+            product = identity(n)
+            for a in word.letters:
+                product = product * simple(n, a)
+            assert cd_element(A) == evaluate(word) == product
+            elements.append(product)
+    assert cyclically_decreasing_elements(n) == elements
+
+
+def test_reduced_words_leave_every_module_memo_as_it_was(module_memos):
+    # reduced words are memoized per call: nothing is left behind
+    ball = bruhat_ball(4, 6)
+    before = {name: memo.cache_info().currsize for name, memo in module_memos.items()}
+    for level in ball:
+        for w in level:
+            assert count_reduced_words(w) == len(reduced_words(w))
+    assert {name: memo.cache_info().currsize for name, memo in module_memos.items()} == before
 
 
 @pytest.mark.parametrize("n", range(2, 8))
