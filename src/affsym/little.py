@@ -22,16 +22,16 @@ letters as one-letter factors, since sliding {i} down by one is
 decrementing i.  A step's block move (the slid mask, its canonical
 letters and the offset of the moved letter) is memoized per (n, mask,
 letter, direction) in `_move`, at most 2·n·2^n entries for each n.  A
-walk is told its factors' sizes by its caller, and
-a step reads the word's `word_record` (sequence, reducedness, the key
-of each position's reflection) from a table its caller owns,
-`functools.cache(word_record)`.  The public functions make a fresh one
-per call, unless the caller hands `phi` its own; the bijection sweep
-shares one among all walks over one v, `phi`'s included, and
-`little_trace` reads each vertex's (p, q) pair from the table its `phi`
-walk filled.  The public functions validate their input once, at
-entry.  `walks` is the one entry to the factor walk for callers that
-hold covers by construction: it walks each of a list of starts once
+walk is told its factors' sizes by its caller, and a step reads the
+word's `word_record` (sequence, reducedness, the key of each position's
+reflection) through a table its caller passes.  A call sweeps each word
+it reads once, so a record cache, `functools.cache(word_record)`, is
+made only where a word is read twice: the bijection sweep's per-v table
+(a round trip ends on its start), `phi_r` (its start mark, then its
+walk) and `little_trace` (the pairs, read after the walk); every other
+walk reads `word_record` itself.  Public functions validate their input
+once, at entry.  `walks` is the one entry to the factor walk for callers
+that hold covers by construction: it walks each of a list of starts once
 per direction, each walk from where the last ended, so a round trip is
 the directions (True, False).
 
@@ -305,14 +305,13 @@ def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
 
 def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str, table=None):
     """Walk from the reduced v-marked m to the next reduced word, reading
-    m's reducedness and every step's record from table (by default a
-    fresh one).
+    m's reducedness and every step's record from table (by default
+    word_record, looked up at call time).
 
     A re-mark has the mark's reflection, so only m needs checking.
     """
     _require_v_marked(v, m)
-    if table is None:
-        table = functools.cache(word_record)
+    table = table or word_record
     if not table(m.word.n, m.word.letters).reduced:
         raise NotReducedError(f"{m} is not a reduced marked word")
     end, path = _letter_walk(v, m, m.mark, forward, table)
@@ -329,7 +328,7 @@ def phi(v: AffinePermutation, m: MarkedWord, *, table=None) -> tuple[MarkedWord,
     the graph are finite and never loops, which the iteration cap turns
     into a runtime check.  table, a functools.cache(word_record) the
     caller shares between walks over v, gives the record of m and of
-    every vertex; by default each call makes a fresh one.
+    every vertex; by default each is swept once, uncached.
     """
     return _marked_walk(v, m, True, "phi", table)
 
@@ -469,7 +468,7 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     t = _require_r_cover(v, r, d.product(), side)
     start = ([subset_mask(f.members) for f in d.factors], t)
-    [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",), functools.cache(word_record))
+    [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",), word_record)
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:
         raise InvariantError(f"length profile changed from {d} to {out}")

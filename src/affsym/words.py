@@ -53,9 +53,9 @@ class Word(Value):
         if n < 2:
             raise BadLetterError(f"words need period n >= 2, got {n}")
         letters = tuple(map(int, letters))
-        for a in letters:
-            if not 0 <= a < n:
-                raise BadLetterError(f"letter {a} not in [0, {n - 1}]")
+        if letters and (min(letters) < 0 or max(letters) >= n):
+            bad = next(a for a in letters if not 0 <= a < n)
+            raise BadLetterError(f"letter {bad} not in [0, {n - 1}]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
@@ -237,11 +237,12 @@ def insertion_index(a: Word, i: int) -> int:
     j is the partner of i in reflection_sequence(a): the other position
     with i's reflection, so both deletions evaluate to the same element.
     """
-    if is_reduced(a):
+    record = word_record(a.n, a.letters)
+    if record.reduced:
         raise WordIsReducedError(f"word {a} is reduced")
     if not is_reduced(a.delete(i)):
         raise MarkDeletionNotReducedError(f"deleting position {i} of {a} is not reduced")
-    j = partner_index(a.n, a.letters, word_record(a.n, a.letters), i)
+    j = partner_index(a.n, a.letters, record, i)
     if evaluate(a.delete(j)) != evaluate(a.delete(i)):
         raise InvariantError(f"deleting position {j} or {i} of {a} gives different elements")
     return j

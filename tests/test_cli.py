@@ -381,6 +381,17 @@ def test_generalized_little_walk_across_factors(capsys, decomposition, expected)
     assert (code, out) == (0, expected)
 
 
+@pytest.mark.parametrize(
+    "argv,walk",
+    [(FIGURE_LITTLE, "phi cycle through 34102321042@5"), (CROSSING_WALK, "generalized walk")],
+)
+def test_walk_past_its_cap_exits_1(argv, walk, capsys, monkeypatch):
+    # a cap of one step, at each of the kernel's callers
+    real = affsym.little._layout
+    monkeypatch.setattr(affsym.little, "_layout", lambda n, sizes: real(n, sizes)[:2] + (1,))
+    assert run_cli(capsys, *argv) == (1, "", f"internal error: {walk} exceeded its cap\n")
+
+
 def test_generalized_little_remark_in_moved_factor_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(affsym.little, "partner_index", lambda n, letters, record, i: i)
     code, out, err = run_cli(capsys, *CROSSING_WALK)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import affsym.group as group_module
 from affsym.errors import (
+    BadIndexError,
     CongruentPairError,
     DuplicateResidueError,
     EnumerationError,
+    FormatError,
     InvariantError,
     NotGrassmannianError,
     PeriodMismatchError,
@@ -74,6 +76,33 @@ def test_from_window_errors():
         from_window(4, [2, 3, 0])
     with pytest.raises(DuplicateResidueError):
         from_window(4, [2, 6, 0, 2])
+
+
+# each raise site of a check on input from outside: the call, the error
+# type and its whole message
+GROUP_RAISE_SITES = [
+    (lambda: from_window(0, ()), WindowLengthError, "period must be positive, got 0"),
+    (lambda: simple(4, 4), BadIndexError, "simple reflection index 4 not in [0, 3]"),
+    (
+        lambda: identity(4).times_simple(-1),
+        BadIndexError,
+        "simple reflection index -1 not in [0, 3]",
+    ),
+    (lambda: Reflection(4, 1, 5), CongruentPairError, "t_(1,5) undefined: congruent mod 4"),
+    (lambda: bruhat_leq(identity(3), identity(4)), PeriodMismatchError, "mismatched periods"),
+    (
+        lambda: parse_window(4, "1,2,3,4"),
+        FormatError,
+        "window must be bracketed: '1,2,3,4'",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", GROUP_RAISE_SITES)
+def test_group_raise_sites(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_apply_periodicity():

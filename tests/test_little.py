@@ -6,9 +6,14 @@ import math
 import pytest
 
 import affsym.little as little_module
+import affsym.words
 from affsym.errors import (
+    CycleOverflowError,
+    FormatError,
     InvalidDecompositionError,
     MarkAbsentError,
+    NotLeftRCoverError,
+    NotReducedError,
     NotRightRCoverError,
     NotVMarkedError,
 )
@@ -37,6 +42,7 @@ from affsym.little import (
     inverse_generalized_little,
     is_v_marked,
     little_trace,
+    parse_decomposition,
     parse_marked_word,
     phi,
     phi_inverse,
@@ -53,6 +59,7 @@ from affsym.words import (
     cd_letters,
     count_reduced_words,
     evaluate,
+    insertion_index,
     is_cyclically_decreasing,
     is_reduced,
     marked_index,
@@ -203,8 +210,6 @@ def test_phi_on_a_shared_table_matches_fresh_tables(n):
 
 
 def test_phi_with_a_table_raises_the_same_errors():
-    from affsym.errors import NotReducedError
-
     table = functools.cache(word_record)
     cases = [
         (identity(5), marked(5, "34102321042@5"), NotVMarkedError),
@@ -647,6 +652,44 @@ def test_generalized_little_rejects_bad_cover():
         generalized_little(v, 0, d)
 
 
+# each raise site of a check on input from outside: the call, the error
+# type and its whole message; ({1},) is s_1 = t(1, 2) over the identity,
+# a right 1-cover and a left 2-cover
+LITTLE_RAISE_SITES = [
+    (
+        lambda: inverse_generalized_little(identity(3), 1, parse_decomposition(3, "1")),
+        NotLeftRCoverError,
+        "[2, 1, 3] is not a left 1-cover of [1, 2, 3]",
+    ),
+    (lambda: PQPair(3, 1, 4), FormatError, "degenerate pair (1,4) mod 3"),
+    (lambda: parse_marked_word(3, "12"), FormatError, "marked word needs an @mark suffix: '12'"),
+    (lambda: parse_marked_word(3, "12@x"), FormatError, "bad mark in '12@x'"),
+    (lambda: MarkedWord(Word(3, (1, 2)), 3), FormatError, "mark 3 outside word of length 2"),
+    (lambda: phi_r(identity(3), 1, Word(3, (1, 1))), NotReducedError, "word 11 is not reduced"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", LITTLE_RAISE_SITES)
+def test_little_raise_sites(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_walks_past_their_cap_raise_cycle_overflow(monkeypatch):
+    # a cap of one step stops the figure's phi walk and a factor walk
+    # that crosses factors, at both of the kernel's callers
+    real = little_module._layout
+    monkeypatch.setattr(little_module, "_layout", lambda n, sizes: real(n, sizes)[:2] + (1,))
+    with pytest.raises(CycleOverflowError) as raised:
+        phi(FIG_V, marked(5, "34102321042@5"))
+    assert str(raised.value) == "phi cycle through 34102321042@5 exceeded its cap"
+    v, d = from_window(4, [5, 0, 2, 3]), parse_decomposition(4, "1/0/3/2/1")
+    with pytest.raises(CycleOverflowError) as raised:
+        generalized_little(v, 1, d)
+    assert str(raised.value) == "generalized walk exceeded its cap"
+
+
 def test_alpha_decomposition_validates_additivity():
     # s_1 * s_1 collapses, so ({1}, {1}) is not length-additive
     with pytest.raises(InvalidDecompositionError, match=r"^factor lengths do not add: 1/1$"):
@@ -703,8 +746,71 @@ def test_marked_word_text_round_trip():
 
 
 def test_phi_requires_reduced_word():
-    from affsym.errors import NotReducedError
-
     # 34101321042@11 is v-marked for the figure v but not reduced
     with pytest.raises(NotReducedError):
         phi(FIG_V, marked(5, "34101321042@11"))
+
+
+# ---------------------------------------------------------------------------
+# one sweep per word per call
+
+
+def _word_level_calls(n, max_length):
+    # (name, call) for every valid input of each public word-level function
+    # on the elements v of length at most max_length: v-marked words,
+    # reduced words of covers, and factor tuples of r-covers at each profile
+    for l in range(max_length + 1):
+        for v in elements_of_length(n, l):
+            for m in v_marked_words(v):
+                yield "is_reduced", functools.partial(is_reduced, m.word)
+                for f in (pq, forward_step, backward_step):
+                    yield f.__name__, functools.partial(f, v, m)
+                if not is_reduced(m.word):
+                    yield "insertion_index", functools.partial(insertion_index, m.word, m.mark)
+                    continue
+                for f in (phi, phi_inverse, little_trace):
+                    yield f.__name__, functools.partial(f, v, m)
+            for w, _ in covers_above(v):
+                for a in reduced_words(w):
+                    yield "marked_index", functools.partial(marked_index, a, v)
+            profiles = tuple(compositions_bounded(l + 1, n - 1))
+            for r in range(n):
+                for w in right_r_covers(v, r):
+                    for a in reduced_words(w):
+                        yield "phi_r", functools.partial(phi_r, v, r, a)
+                for f, covers in [
+                    (generalized_little, right_r_covers(v, r)),
+                    (inverse_generalized_little, left_r_covers(v, r)),
+                ]:
+                    for w in covers:
+                        for alpha in profiles:
+                            for d in alpha_decompositions(w, alpha):
+                                yield f.__name__, functools.partial(f, v, r, d)
+
+
+@pytest.mark.parametrize("n,max_length", [(3, 3), (4, 2)])
+def test_each_call_sweeps_each_word_once(n, max_length, monkeypatch):
+    # every sweep, through word_record or not, is counted per call; where
+    # a call reads a word twice, a record cache answers the second read
+    calls = list(_word_level_calls(n, max_length))
+    swept = collections.Counter()
+    real = little_module.sweep
+
+    def counting(n, letters):
+        swept[tuple(letters)] += 1
+        return real(n, letters)
+
+    monkeypatch.setattr(affsym.words, "sweep", counting)
+    monkeypatch.setattr(little_module, "sweep", counting)
+    twice = collections.Counter()
+    for name, call in calls:
+        swept.clear()
+        call()
+        if swept and max(swept.values()) > 1:
+            twice[name] += 1
+    assert {name for name, _ in calls} == {
+        "is_reduced", "marked_index", "insertion_index", "pq", "forward_step", "backward_step",
+        "phi", "phi_inverse", "phi_r", "little_trace", "generalized_little",
+        "inverse_generalized_little",
+    }
+    assert twice == {}

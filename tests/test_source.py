@@ -179,3 +179,29 @@ def test_module_memos_are_tables_keyed_by_n_or_have_a_maxsize(module_memos):
         name for name, memo in module_memos.items() if memo.cache_parameters()["maxsize"] is None
     }
     assert unbounded - N_BOUNDED_MEMOS == set()
+
+
+def _record_caches(path):
+    # (module, top-level function) of each functools.cache(word_record)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("functools.cache", "cache")
+                and [ast.unparse(arg) for arg in node.args] == ["word_record"]
+            ):
+                yield path.stem, getattr(top, "name", None)
+
+
+def test_record_caches_only_where_a_word_is_read_twice():
+    # a call sweeps each word it reads once, so a cache of word records
+    # is made only where a word is read twice: the sweep's per-v table
+    # (round trips end on their starts), phi_r (its start mark, then its
+    # walk) and little_trace (the pairs, read after the walk)
+    found = [site for path in SOURCES for site in _record_caches(path)]
+    assert sorted(found) == [
+        ("little", "little_trace"),
+        ("little", "phi_r"),
+        ("verify", "_bijection_level"),
+    ]

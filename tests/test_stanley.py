@@ -15,6 +15,7 @@ from affsym.cli import main
 from affsym.errors import (
     DegreeMismatchError,
     IdentityInputError,
+    InputError,
     PeriodMismatchError,
     SingularSystemError,
     SymmetryViolationError,
@@ -115,6 +116,9 @@ def test_alpha_decompositions_edge_cases():
     assert alpha_decompositions(from_window(3, [3, 2, 1]), (3,)) == []
     with pytest.raises(DegreeMismatchError):
         alpha_decompositions(simple(3, 0), (2,))
+    with pytest.raises(DegreeMismatchError) as raised:
+        alpha_decompositions(simple(3, 0), (2, -1))
+    assert str(raised.value) == "composition parts must be positive: (2, -1)"
 
 
 def _object_descent(w, alpha):
@@ -806,6 +810,10 @@ def test_ls_children_examples():
     assert ls_children((2, 1)) == [(1, 3, 2)]
     with pytest.raises(IdentityInputError):
         ls_children((1, 2, 3))
+    with pytest.raises(InputError) as raised:
+        ls_children((1, 1))
+    assert type(raised.value) is InputError
+    assert str(raised.value) == "(1, 1) is not a permutation of 1..2"
 
 
 def _fin_is_grassmannian(sigma):

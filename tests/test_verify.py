@@ -365,6 +365,40 @@ def test_unequal_table_report_fails_only_its_suite(suite, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# per index lookup of the random exchange round trips: the number of
+# failures, the first failure and the stdout SHA-256 of `verify -n 3
+# --max-length 1 all` when the lookup answers one position on
+EXCHANGE_FAULTS = {
+    "marked_index": (
+        129,
+        "strong-exchange round trip fails at 10120 pos 3",
+        "4d6c8d4e679e4029d5a9518e9490d80e8530542f1931936f7f4f5716d6e07517",
+    ),
+    "insertion_index": (
+        102,
+        "insertion round trip fails at 21210 pos 4",
+        "ee97c678dc01bc18893e70348b23d16b4e9acb46b5e4367b27b4ae64ab40c9ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXCHANGE_FAULTS)
+def test_moved_exchange_index_fails_only_exchange_random(name, monkeypatch, capsys):
+    count, failure, digest = EXCHANGE_FAULTS[name]
+    real = getattr(affsym.verify, name)
+    monkeypatch.setattr(affsym.verify, name, lambda a, k: real(a, k) % len(a) + 1)
+    status = main(["verify", "-n", "3", "--max-length", "1", "all"])
+    out = capsys.readouterr().out
+    assert status == 1
+    suites = [f"{suite}: 12 instances, ok" for suite in ("garsia-little", "chevalley", "bijection")]
+    lines = out.splitlines()
+    summary = f"exchange-random: 200 instances, {count} FAILED"
+    assert lines[:5] == suites + [summary, f"FAIL {failure}"]
+    assert all(line.startswith("FAIL ") for line in lines[4:-1])
+    assert lines[4 + count :] == ["verification FAILED"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_all_computes_covers_once_per_element(monkeypatch, capsys):
     monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     # one pass over the 69 elements of length <= 4 at n = 4 serves every

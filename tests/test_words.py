@@ -14,6 +14,7 @@ from affsym.errors import (
     InvariantError,
     MarkDeletionNotReducedError,
     NotACoverError,
+    NotReducedError,
     WordIsReducedError,
 )
 from affsym.group import (
@@ -349,6 +350,26 @@ def test_insertion_index_errors():
         insertion_index(parse_word(3, "12"), 1)
     with pytest.raises(MarkDeletionNotReducedError):
         insertion_index(parse_word(2, "0000"), 1)
+
+
+# each raise site of a check on input from outside: the call, the error
+# type and its whole message
+WORDS_RAISE_SITES = [
+    (lambda: Word(1, ()), BadLetterError, "words need period n >= 2, got 1"),
+    (lambda: CyclicSubset(3, (0, 3)), BadLetterError, "residue 3 not in [0, 2]"),
+    (
+        lambda: marked_index(parse_word(3, "11"), identity(3)),
+        NotReducedError,
+        "word 11 is not reduced",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,error,message", WORDS_RAISE_SITES)
+def test_words_raise_sites(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def insertion_oracle(a, i):
