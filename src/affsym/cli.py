@@ -9,8 +9,6 @@ stdout closed before the output was written, 2 usage or parse error,
 3 domain precondition violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

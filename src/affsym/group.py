@@ -17,8 +17,6 @@ AffinePermutation(n=4, window=(2, 5, 0, 3))
 3
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from operator import attrgetter
@@ -40,14 +38,23 @@ Partition = tuple[int, ...]
 
 
 class Record:
-    """Equality within one class, repr and pickling by the fields: the two
-    or more names in __slots__ that do not start with an underscore."""
+    """Construction, equality within one class, repr and pickling by the
+    fields: the two or more names in __slots__ that do not start with an
+    underscore."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._key = attrgetter(*cls._fields) if cls._fields else None
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
 
     def __eq__(self, other):
         same = other.__class__ is self.__class__

@@ -39,8 +39,6 @@ Every v of an operation is passed explicitly; marked words do not store
 it, since one word can be marked for different v.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -76,6 +74,7 @@ from .words import (
     partner_index,
     reduced_words,
     reflection_index,
+    reflection_key,
     subset_mask,
     sweep,
     word_record,
@@ -244,28 +243,27 @@ def walks(n: int, starts, sizes, directions, table):
     """Walk the word of each start's factor masks, of the given sizes,
     once per direction (True forward), each walk from where the last
     ended, reading records from table as _walk does.  A start is the
-    masks of a cover v * t_{a,b} and t = (a, b), its normal pair; each
-    walk starts at the unique position of a normal pair (strong
-    exchange): t first, then the pair t' at the last walk's final mark,
-    so that the walk's image evaluates to v * t'.  Returns, per start,
-    each walk's final masks and t'.  Nothing else is checked: the
+    masks of a cover v * t and the record key of t (reflection_key);
+    each walk starts at the unique position of a key (strong exchange):
+    t's first, then the key t' at the last walk's final mark, so that
+    the walk's image evaluates to v * t'.  Returns, per start, each
+    walk's final masks and t' as a key.  Nothing else is checked: the
     callers hold covers by construction."""
     out = []
-    for masks, t in starts:
+    for masks, key in starts:
         masks, word = list(masks), []
         for mask in masks:
             word += cd_letters(n, mask)
         letters = tuple(word)
         record, ends = table(n, letters), []
         for forward in directions:
-            position = reflection_index(n, letters, record, t)
+            position = reflection_index(n, letters, record, key)
             end = _walk(n, sizes, masks, word, position, forward, table)
             if end is None:
                 raise CycleOverflowError("generalized walk exceeded its cap")
             position, letters, record = end
-            p, q = record.sequence[position - 1]
-            t = reflection_pair(n, p, q)
-            ends.append((tuple(masks), t))
+            key = record.keys[position - 1]
+            ends.append((tuple(masks), key))
         out.append(ends)
     return out
 
@@ -339,12 +337,12 @@ def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[M
 
 
 def _require_r_cover(v: AffinePermutation, r: int, w: AffinePermutation, side: str):
-    """The normal pair (a, b) of the cover reflection of w over v."""
+    """The record key of the cover reflection of w over v."""
     t = cover_reflection(v, w)
     if t is None or not is_r_cover(t, r, side):
         error = NotRightRCoverError if side == "right" else NotLeftRCoverError
         raise error(f"{list(w.window)} is not a {side} {r}-cover of {list(v.window)}")
-    return t.a, t.b
+    return reflection_key(v.n, t.a, t.b)
 
 
 def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Word]:
@@ -358,8 +356,8 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     record = table(a.n, a.letters)
     if not record.reduced:
         raise NotReducedError(f"word {a} is not reduced")
-    t = _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, record, t)), table=table)
+    key = _require_r_cover(v, r, evaluate(a), "right")
+    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, record, key)), table=table)
     return evaluate(out.word), out.word
 
 
@@ -466,8 +464,8 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 
 
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
-    t = _require_r_cover(v, r, d.product(), side)
-    start = ([subset_mask(f.members) for f in d.factors], t)
+    key = _require_r_cover(v, r, d.product(), side)
+    start = ([subset_mask(f.members) for f in d.factors], key)
     [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",), word_record)
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:

@@ -27,8 +27,6 @@ labels (checked at runtime), so an expansion is an integer
 back-substitution.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from functools import lru_cache
@@ -294,18 +292,6 @@ class GarsiaLittleReport(Record):
 
     __slots__ = ("v", "r", "plus_covers", "minus_covers", "plus_table", "minus_table")
 
-    def __init__(
-        self,
-        v: AffinePermutation,
-        r: int,
-        plus_covers: list[AffinePermutation],
-        minus_covers: list[AffinePermutation],
-        plus_table: CoefficientTable,
-        minus_table: CoefficientTable,
-    ):
-        self.v, self.r, self.plus_covers, self.minus_covers = v, r, plus_covers, minus_covers
-        self.plus_table, self.minus_table = plus_table, minus_table
-
     @property
     def equal(self) -> bool:
         return self.plus_table == self.minus_table
@@ -341,17 +327,6 @@ class ChevalleyReport(Record):
     """Both sides of the degree-one product rule at (v, r)."""
 
     __slots__ = ("v", "r", "left_table", "right_table", "terms")
-
-    def __init__(
-        self,
-        v: AffinePermutation,
-        r: int,
-        left_table: CoefficientTable,
-        right_table: CoefficientTable,
-        terms: list[tuple[AffinePermutation, int]],
-    ):
-        self.v, self.r, self.terms = v, r, terms
-        self.left_table, self.right_table = left_table, right_table
 
     @property
     def equal(self) -> bool:
@@ -430,9 +405,6 @@ class ExpansionResult(Record):
     """
 
     __slots__ = ("coefficients", "exact")
-
-    def __init__(self, coefficients: dict[Partition, int], exact: bool):
-        self.coefficients, self.exact = coefficients, exact
 
 
 def expand_in_affine_schur(w: AffinePermutation, *, basis=None) -> ExpansionResult:

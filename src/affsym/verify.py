@@ -28,16 +28,14 @@ sends its stream as `marshal` data over a pipe, the exception pickled;
 the caller sorts all records by position and raises the first exception
 it meets, so the output, exit status and stderr are those of one
 process.  Every share stops at its next v beyond the stop position, the
-smallest at which one has raised: a one-element list in one process, a
-shared `mmap` in a split one.  `_processes(size)`, the one place that
-chooses P, gives two processes from _PARALLEL_BALL elements on a host
-with two CPUs or more (the break-even measured on 2 cores; more were
-never timed), else one, as without `os.fork`.  Tests patch it to pin P.
+smallest at which one has raised, kept in one shared `mmap` however
+many processes run.  `_processes(size)`, the one place that chooses P,
+gives two processes from _PARALLEL_BALL elements on a host with two
+CPUs or more (the break-even measured on 2 cores; more were never
+timed), else one, as without `os.fork`.  Tests patch it to pin P.
 `gc.freeze()` keeps the objects made before the sweep out of its garbage
 collections, unless the caller has frozen objects itself.
 """
-
-from __future__ import annotations
 
 import functools
 import gc
@@ -51,7 +49,6 @@ from .group import (
     bruhat_ball,
     covers_above,
     format_window,
-    reflection_pair,
     simple,
 )
 from .little import MarkedWord, phi, walks
@@ -72,6 +69,7 @@ from .words import (
     marked_index,
     mask_members,
     reflection_index,
+    reflection_key,
     word_record,
 )
 
@@ -91,30 +89,30 @@ def _at(v: AffinePermutation, r: int) -> str:
 def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table) -> list[str]:
     """The cover-sum bijection at (v, r), one profile alpha at a time.
     plus and minus pair each cover's store entry (its decompositions as
-    factor masks per profile) with the normal (a, b) pair of its
-    reflection, which keys its images.  Each profile walks all its
-    decompositions forward and back in one `walks` call, except that at
-    alpha = (1, ..., 1) the forward walk is phi, whose images and paths
-    also make the word-level check (failures first; words stand for
-    their elements, as distinct elements have disjoint sets of reduced
-    words), and one call walks its images back.  One loop then checks
+    factor masks per profile) with the record key of its reflection,
+    which keys its images.  Each profile walks all its decompositions
+    forward and back in one `walks` call, except that at alpha =
+    (1, ..., 1) the forward walk is phi, whose images and paths also
+    make the word-level check (failures first; words stand for their
+    elements, as distinct elements have disjoint sets of reduced words),
+    and one call walks its images back.  One loop then checks
     every image's profile, its way back and the image set.  A profile
     with no decompositions on either side has nothing to check.  Walks
     read table."""
     n, ones = v.n, (1,) * (v.length() + 1)
     word_failures, failures = [], []
     for alpha in profiles:
-        expected = {(t, d) for entry, t in minus for d in entry[alpha]}
-        starts = [(d, t) for entry, t in plus for d in entry[alpha]]
+        expected = {(key, d) for entry, key in minus for d in entry[alpha]}
+        starts = [(d, key) for entry, key in plus for d in entry[alpha]]
         if not starts and not expected:
             continue
         if alpha != ones:
             ends = walks(n, starts, alpha, (True, False), table)
         else:
             words, forward = {d for _, d in expected}, []
-            for d, t in starts:
+            for d, key in starts:
                 letters = tuple(mask.bit_length() - 1 for mask in d)
-                k = reflection_index(n, letters, table(n, letters), t)
+                k = reflection_index(n, letters, table(n, letters), key)
                 m = MarkedWord(Word(n, letters), k)
                 c, path = phi(v, m, table=table)
                 out = tuple(1 << a for a in c.word.letters)
@@ -130,7 +128,7 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
                         word_failures.append(f"path p-invariant fails at {vertex} {_over(v)}")
                 if (pairs[-1][1] - r) % n != 0:
                     word_failures.append(f"path q-invariant fails at {path[-1]} {_over(v)}")
-                forward.append((out, reflection_pair(n, *pairs[-1])))
+                forward.append((out, table(n, c.word.letters).keys[c.mark - 1]))
             backs = walks(n, forward, alpha, (False,), table)
             ends = [[image, *back] for image, back in zip(forward, backs)]
             outs = [out for out, _ in forward]
@@ -175,12 +173,12 @@ def _chevalley_level(n: int, length: int):
 
 
 def _bijection_level(n: int, length: int):
-    """Each cover is resolved once per v to its store entry and the (a, b)
-    pair of its reflection and filed under the residues of a (right
-    r-covers) and of b (left), so no check hashes an element.  A cover's
-    alpha-decompositions, every profile at once, are found once per
-    level, in a store dropped with the level; each word's word_record
-    once per v, in a table dropped with v."""
+    """Each cover is resolved once per v to its store entry and the record
+    key of its reflection t(a, b) and filed under the residues of a
+    (right r-covers) and of b (left), so no check hashes an element.  A
+    cover's alpha-decompositions, every profile at once, are found once
+    per level, in a store dropped with the level; each word's
+    word_record once per v, in a table dropped with v."""
     store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
 
     def check(v, covers):
@@ -189,8 +187,9 @@ def _bijection_level(n: int, length: int):
             entry = store.get(w)
             if entry is None:
                 entry = store[w] = decomposition_masks(w, profiles)
-            plus[t.a % n].append((entry, (t.a, t.b)))
-            minus[t.b % n].append((entry, (t.a, t.b)))
+            key = reflection_key(n, t.a, t.b)
+            plus[t.a % n].append((entry, key))
+            minus[t.b % n].append((entry, key))
         table, failures = functools.cache(word_record), []
         for r in range(n):
             failures += _bijection_check(v, r, plus[r], minus[r], profiles, table)
@@ -333,15 +332,13 @@ def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
     first if the parent stops early.  Unless the caller has frozen objects
     itself (gc.get_freeze_count()), the objects made before the sweep are
     frozen out of its garbage collections (gc.freeze) and unfrozen after."""
+    import mmap  # only a sweep maps shared memory, so not at start-up
+
     names = list(names)
     size = sum(map(len, levels))
     processes, workers, data, statuses = _processes(size), [], [], []
-    first = [size]
-    if processes > 1:
-        import mmap  # only a split sweep shares the stop position
-
-        first = memoryview(mmap.mmap(-1, 8)).cast("q")
-        first[0] = size
+    first = memoryview(mmap.mmap(-1, 8)).cast("q")
+    first[0] = size
     # What exists now lives through the sweep: kept out of its garbage
     # collections, it is not traversed again, nor copied into a worker
     # by the collector's writes.

@@ -8,8 +8,9 @@ read off a word's reflection sequence.
 The lookups run on plain ints, as do the walks of `little`: `sweep`
 computes the sequence of a list of letters on one window list,
 `word_record` keeps it together with its reducedness and, per position,
-the normal key of its reflection, and the index lookups count and find
-a key in that list; a cyclically decreasing factor is an n-bit mask
+the key of its reflection, and the index lookups count and find a key
+in that list, so a reflection enters the kernel once, as its key
+(`reflection_key`); a cyclically decreasing factor is an n-bit mask
 whose canonical letters `cd_letters` tabulates.  The functions on Word
 and CyclicSubset validate, then call them.
 
@@ -18,8 +19,6 @@ whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
 with letter set A are exactly the shuffles of the decreasing words of
 the maximal cyclic intervals of A, and all evaluate to one element w(A).
 """
-
-from __future__ import annotations
 
 import itertools
 from functools import cache, lru_cache
@@ -206,11 +205,15 @@ def partner_index(n: int, letters, record: WordRecord, i: int) -> int:
     return j if j != i else keys.index(key, i) + 1
 
 
-def reflection_index(n: int, letters, record: WordRecord, t: tuple[int, int]) -> int:
-    """The unique 1-based j with the reflection of the normal pair
-    t = (a, b), a < b, in the record of the letters (strong exchange)."""
-    a, b = t
-    key, keys = (b - a) * n + a % n, record.keys
+def reflection_key(n: int, a: int, b: int) -> int:
+    """The record key (b - a) * n + a mod n of the reflection t(a, b), a < b."""
+    return (b - a) * n + a % n
+
+
+def reflection_index(n: int, letters, record: WordRecord, key: int) -> int:
+    """The unique 1-based j with the reflection of that key in the record
+    of the letters (strong exchange)."""
+    keys = record.keys
     if keys.count(key) != 1:
         raise InvariantError(f"strong exchange uniqueness failed for {format_letters(n, letters)}")
     return keys.index(key) + 1
@@ -228,7 +231,7 @@ def marked_index(a: Word, v: AffinePermutation) -> int:
     t = cover_reflection(v, evaluate(a))
     if t is None:
         raise NotACoverError(f"{a} does not evaluate to a cover of {list(v.window)}")
-    return reflection_index(a.n, a.letters, record, (t.a, t.b))
+    return reflection_index(a.n, a.letters, record, reflection_key(a.n, t.a, t.b))
 
 
 def insertion_index(a: Word, i: int) -> int:

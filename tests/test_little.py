@@ -65,6 +65,7 @@ from affsym.words import (
     marked_index,
     parse_word,
     reduced_words,
+    reflection_key,
     subset_mask,
     word_record,
 )
@@ -518,15 +519,15 @@ def test_generalized_little_matches_rebuilding_oracle(n, max_length):
 
 def _cover_starts(n, max_length):
     # per v of length below max_length and per profile alpha, the starts
-    # of v's covers: each decomposition's masks and the normal pair of the
-    # cover's reflection, with the decomposition
+    # of v's covers: each decomposition's masks and the cover's
+    # reflection, with the decomposition
     for l in range(max_length):
         for v in elements_of_length(n, l):
             yield v, [
                 (
                     alpha,
                     [
-                        (tuple(subset_mask(f.members) for f in d.factors), (t.a, t.b), d)
+                        (tuple(subset_mask(f.members) for f in d.factors), t, d)
                         for w, t in covers_above(v)
                         for d in alpha_decompositions(w, alpha)
                     ],
@@ -537,23 +538,23 @@ def _cover_starts(n, max_length):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walks_on_pairs_match_public_walks(n):
-    # entered on the normal (a, b) pair of each cover, both ways, with
-    # one table of records shared by all walks over v
+    # entered on the record key of each cover's reflection, both ways,
+    # with one table of records shared by all walks over v
     for v, profiles in _cover_starts(n, 4):
         table = functools.cache(word_record)
         for alpha, starts in profiles:
             for masks, t, d in starts:
                 for forward, public, r in (
-                    (True, generalized_little, t[0] % n),
-                    (False, inverse_generalized_little, t[1] % n),
+                    (True, generalized_little, t.a % n),
+                    (False, inverse_generalized_little, t.b % n),
                 ):
                     image = public(v, r, d)
                     [[(out, t_out)]] = little_module.walks(
-                        n, [(masks, t)], alpha, (forward,), table
+                        n, [(masks, reflection_key(n, t.a, t.b))], alpha, (forward,), table
                     )
                     assert out == tuple(subset_mask(f.members) for f in image.factors)
                     expected = cover_reflection(v, image.product())
-                    assert t_out == (expected.a, expected.b)
+                    assert t_out == reflection_key(n, expected.a, expected.b)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -561,19 +562,19 @@ def test_walks_batch_and_round_trip_match_single_walks(n):
     # many starts in one call, sharing a table, equal one start per call
     # on a fresh table; the backward half of (True, False) starts from the
     # forward half's final word, masks and record, and (False,) starts
-    # afresh from the image's masks and pair
+    # afresh from the image's masks and key
     for _, profiles in _cover_starts(n, 4):
         shared = functools.cache(word_record)
         for alpha, starts in profiles:
-            pairs = [(masks, t) for masks, t, _ in starts]
-            trips = little_module.walks(n, pairs, alpha, (True, False), shared)
-            assert len(trips) == len(pairs)
-            for (masks, t), trip in zip(pairs, trips):
+            keyed = [(masks, reflection_key(n, t.a, t.b)) for masks, t, _ in starts]
+            trips = little_module.walks(n, keyed, alpha, (True, False), shared)
+            assert len(trips) == len(keyed)
+            for (masks, key), trip in zip(keyed, trips):
                 fresh = functools.cache(word_record)
-                [forward] = little_module.walks(n, [(masks, t)], alpha, (True,), fresh)
+                [forward] = little_module.walks(n, [(masks, key)], alpha, (True,), fresh)
                 [back] = little_module.walks(n, forward, alpha, (False,), fresh)
                 assert trip == forward + back
-                [alone] = little_module.walks(n, [(masks, t)], alpha, (True, False), fresh)
+                [alone] = little_module.walks(n, [(masks, key)], alpha, (True, False), fresh)
                 assert trip == alone
                 assert back[0][0] == masks
 
@@ -581,21 +582,21 @@ def test_walks_batch_and_round_trip_match_single_walks(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_phi_is_the_forward_all_ones_walk(n):
     # the bijection sweep takes phi's images as its forward factor walks
-    # at alpha = (1, ..., 1): same image masks, and t' the normal pair at
-    # phi's final mark
+    # at alpha = (1, ..., 1): same image masks, and t' the key of the
+    # normal pair at phi's final mark
     for l in range(4):
         for v in elements_of_length(n, l):
             table = functools.cache(word_record)
             for w, t in covers_above(v):
                 for a in reduced_words(w):
                     out, _ = phi(v, MarkedWord(a, marked_index(a, v)), table=table)
-                    start = (tuple(1 << i for i in a.letters), (t.a, t.b))
+                    start = (tuple(1 << i for i in a.letters), reflection_key(n, t.a, t.b))
                     [[(masks, t_out)]] = little_module.walks(
                         n, [start], (1,) * (l + 1), (True,), table
                     )
                     assert masks == tuple(1 << i for i in out.word.letters)
                     end = table(n, out.word.letters).sequence[out.mark - 1]
-                    assert t_out == reflection_pair(n, *end)
+                    assert t_out == reflection_key(n, *reflection_pair(n, *end))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -56,8 +56,8 @@ def test_every_top_level_definition_is_referenced():
 
 
 # modules that no affsym module imports at start-up: the sweep's workers
-# are forked, only an error path pickles or kills, and only a split
-# sweep maps shared memory
+# are forked, only an error path pickles or kills, and only a sweep
+# maps shared memory
 DEFERRED_IMPORTS = {
     "pickle", "multiprocessing", "concurrent", "subprocess", "threading", "signal", "mmap"
 }

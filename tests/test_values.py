@@ -178,6 +178,18 @@ def test_record_pickle_and_deepcopy(record, same, other, text):
         assert copied == record and repr(copied) == text
 
 
+# the three reports take Record's constructor, one value per field in
+# __slots__ order; CoefficientTable keeps its own
+@pytest.mark.parametrize("record, same, other, text", RECORDS[1:], ids=RECORD_IDS[1:])
+def test_report_record_takes_one_value_per_field(record, same, other, text):
+    cls, values = type(record), [getattr(record, name) for name in record._fields]
+    assert cls(*values) == record
+    for wrong in (values[:-1], values + [None]):
+        with pytest.raises(TypeError) as error:
+            cls(*wrong)
+        assert str(error.value) == f"{cls.__name__} takes {len(values)} fields, got {len(wrong)}"
+
+
 def test_records_stay_mutable():
     result = expand_in_affine_schur(from_window(3, [3, 2, 1]))
     result.exact = False

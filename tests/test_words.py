@@ -49,6 +49,7 @@ from affsym.words import (
     partner_index,
     reduced_words,
     reflection_index,
+    reflection_key,
     reflection_sequence,
     subset_mask,
     sweep,
@@ -220,11 +221,13 @@ def test_sweep_matches_object_sequence(pair):
         t = Reflection(n, p, q)
         others = [i for i, pair in enumerate(expected, 1) if Reflection(n, *pair) == t]
         assert positions_oracle(n, expected, t.a, t.b) == others
+        key = reflection_key(n, t.a, t.b)
+        assert record.keys[j - 1] == key
         if others == [j]:
-            assert reflection_index(n, letters, record, (t.a, t.b)) == j
+            assert reflection_index(n, letters, record, key) == j
         else:
             with pytest.raises(InvariantError) as error:
-                reflection_index(n, letters, record, (t.a, t.b))
+                reflection_index(n, letters, record, key)
             assert str(error.value) == f"strong exchange uniqueness failed for {text}"
         if len(others) == 2:
             assert partner_index(n, letters, record, j) == sum(others) - j
