@@ -9,12 +9,13 @@ Iterating until the word is reduced again defines phi, a bijection of
 the reduced v-marked words; restricted to reduced words of right
 r-covers of v it lands in the reduced words of left r-covers.
 
-The same walk runs on tuples of cyclically decreasing factors: the
-marked factor takes one set-level cover step (slide the marked run down
-by one) and the mark moves between factors through the unique-insertion
-lemma, giving a bijection of factor tuples with fixed length profile.
-As the profile is fixed, the walk keeps one word in which each factor
-owns a fixed block of positions, and a step rewrites only that block.
+The same walk runs on tuples of cyclically decreasing factors
+(`words.AlphaDecomposition`): the marked factor takes one set-level
+cover step (slide the marked run down by one) and the mark moves
+between factors through the unique-insertion lemma, giving a bijection
+of factor tuples with fixed length profile.  As the profile is fixed,
+the walk keeps one word in which each factor owns a fixed block of
+positions, and a step rewrites only that block.
 
 Both walks run on one integer kernel, `_walk`: factors are n-bit masks
 and the word is a list of ints.  A marked word is the tuple of its
@@ -24,8 +25,8 @@ letters and the offset of the moved letter) is memoized per (n, mask,
 letter, direction) in `_move`, at most 2·n·2^n entries for each n.  A
 walk is told its factors' sizes by its caller, and a step reads the
 word's `word_record` (sequence, reducedness, the key of each position's
-reflection) through a table its caller passes.  A call sweeps each word
-it reads once, so a record cache, `functools.cache(word_record)`, is
+reflection) through a table its caller passes.  A call records each
+word it reads once, so a record cache, `functools.cache(word_record)`, is
 made only where a word is read twice: the bijection sweep's per-v table
 (a round trip ends on its start), `phi_r` (its start mark, then its
 walk) and `little_trace` (the pairs, read after the walk); every other
@@ -46,7 +47,6 @@ import math
 from .errors import (
     CycleOverflowError,
     FormatError,
-    InvalidDecompositionError,
     InvariantError,
     MarkAbsentError,
     NotLeftRCoverError,
@@ -62,9 +62,9 @@ from .group import (
     is_r_cover,
     letters_window,
     reflection_pair,
-    _length,
 )
 from .words import (
+    AlphaDecomposition,
     CyclicSubset,
     Word,
     cd_letters,
@@ -76,7 +76,6 @@ from .words import (
     reflection_index,
     reflection_key,
     subset_mask,
-    sweep,
     word_record,
 )
 
@@ -154,7 +153,7 @@ def pq(v: AffinePermutation, m: MarkedWord) -> PQPair:
     The full word evaluates to v * t_{p,q}; p < q exactly when it is reduced.
     """
     _require_v_marked(v, m)
-    p, q = sweep(m.word.n, m.word.letters)[m.mark - 1]
+    p, q = word_record(m.word.n, m.word.letters).sequence[m.mark - 1]
     return PQPair(m.word.n, p, q)
 
 
@@ -419,34 +418,7 @@ def cd_cover_step_back(ms: MarkedSubset) -> MarkedSubset:
 
 
 # ---------------------------------------------------------------------------
-# Factor tuples (alpha-decompositions) and the generalized algorithm
-
-
-class AlphaDecomposition(Value):
-    """A length-additive tuple of cyclically decreasing factors."""
-
-    __slots__ = ("n", "factors", "_product")
-
-    def __init__(self, n: int, factors: tuple[CyclicSubset, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
-        if any(factor.n != n for factor in factors):
-            raise InvalidDecompositionError("factors with mixed periods")
-        letters = [a for f in factors for a in cd_letters(n, subset_mask(f.members))]
-        window = letters_window(n, letters)
-        if _length(n, window) != len(letters):
-            raise InvalidDecompositionError(f"factor lengths do not add: {self}")
-        object.__setattr__(self, "_product", AffinePermutation(n, window))
-
-    @property
-    def alpha(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.factors)
-
-    def product(self) -> AffinePermutation:
-        return self._product
-
-    def __str__(self) -> str:
-        return "/".join(str(f) for f in self.factors)
+# The generalized algorithm on factor tuples
 
 
 def parse_decomposition(n: int, text: str) -> AlphaDecomposition:

@@ -12,10 +12,10 @@ verified at runtime, once per (n, degree), never assumed; by
 associativity it implies rearrangement invariance for every
 composition, so tables count partitions only.
 
-One factor table (_cd_masks) and one peel on the window of w^-1 serve
-counting and enumeration; only the certificate multiplies factors, by
-evaluating their concatenated words, so it shares no arithmetic with
-the counts it guards.
+The factor table (_cd_masks) and the peel of `words` serve counting
+and enumeration, and nothing here comes from `little`; only the
+certificate multiplies factors, by evaluating their concatenated words,
+so it shares no arithmetic with the counts it guards.
 
 Products with the degree-one Schur function, cover-sum identities, and
 expansions in the Grassmannian (affine Schur) tables are all computed
@@ -27,7 +27,6 @@ labels (checked at runtime), so an expansion is an integer
 back-substitution.
 """
 
-import itertools
 from collections import Counter
 from functools import lru_cache
 
@@ -53,8 +52,14 @@ from .group import (
     residue_count,
     _length,
 )
-from .little import AlphaDecomposition
-from .words import CyclicSubset, cd_letters, mask_members, subset_mask
+from .words import (
+    AlphaDecomposition,
+    CyclicSubset,
+    _cd_masks,
+    _peel,
+    decomposition_masks,
+    mask_members,
+)
 
 
 def compositions_bounded(total: int, max_part: int):
@@ -104,64 +109,6 @@ def alpha_decompositions(w: AffinePermutation, alpha) -> list[AlphaDecomposition
         AlphaDecomposition(w.n, tuple(CyclicSubset(w.n, mask_members(w.n, m)) for m in masks))
         for masks in decomposition_masks(w, [alpha])[alpha]
     ]
-
-
-@lru_cache(maxsize=None)
-def _cd_masks(n: int, size: int) -> tuple:
-    """(mask, canonical letters) of each proper subset of Z/nZ of that
-    size, in lexicographic order of members; () when size >= n."""
-    if size >= n:
-        return ()
-    masks = (subset_mask(members) for members in itertools.combinations(range(n), size))
-    return tuple((mask, cd_letters(n, mask)) for mask in masks)
-
-
-def _peel(n: int, u: tuple[int, ...], letters) -> tuple[int, ...] | None:
-    """u * s_{a_1} ... s_{a_k} if each letter is a right descent as it is
-    applied, else None.  For u = w^-1 and the letters of w(A) that is the
-    inverse of w(A)^-1 w exactly when l(w(A)^-1 w) = l(w) - |A|."""
-    u = list(u)
-    for a in letters:
-        if a:
-            if u[a - 1] < u[a]:
-                return None
-            u[a - 1], u[a] = u[a], u[a - 1]
-        else:
-            if u[-1] - n < u[0]:
-                return None
-            u[0], u[-1] = u[-1] - n, u[0] + n
-    return tuple(u)
-
-
-def decomposition_masks(w: AffinePermutation, profiles) -> dict[tuple[int, ...], list]:
-    """The alpha-decompositions of w as tuples of factor masks, for each
-    alpha in profiles ([] when there are none), each in the order of
-    alpha_decompositions; every alpha must be a composition of l(w).
-
-    Peels the factors off the left of w, letter by letter, on the window
-    of w^-1, in one pass over the trie of profiles: profiles with a
-    common prefix share its peels."""
-    n, out, trie = w.n, {alpha: [] for alpha in profiles}, {}
-    for alpha, found in out.items():
-        node = trie
-        for part in alpha:
-            node = node.setdefault(part, {})
-        node[0] = found  # parts are positive, so 0 keys the profile's list
-    identity_window = tuple(range(1, n + 1))
-
-    def descend(u, node, chosen):
-        for size, child in node.items():
-            if not size:
-                if u == identity_window:
-                    child.append(chosen)
-                continue
-            for mask, letters in _cd_masks(n, size):
-                tail = _peel(n, u, letters)
-                if tail is not None:
-                    descend(tail, child, chosen + (mask,))
-
-    descend(w.inverse().window, trie, ())
-    return out
 
 
 @lru_cache(maxsize=1 << 16)

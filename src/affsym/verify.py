@@ -41,7 +41,6 @@ import functools
 import gc
 import marshal
 import os
-import random
 
 from .errors import ComputationError
 from .group import (
@@ -56,12 +55,12 @@ from .stanley import (
     affine_schur_basis,
     chevalley_reports,
     compositions_bounded,
-    decomposition_masks,
     expand_in_affine_schur,
     garsia_little_reports,
 )
 from .words import (
     Word,
+    decomposition_masks,
     evaluate,
     format_letters,
     insertion_index,
@@ -402,7 +401,7 @@ def positivity_sweep(n: int, max_length: int) -> tuple[int, list[str]]:
     return sweep_ball(n, max_length, ["positivity"])["positivity"]
 
 
-def _random_reduced_word(rng: random.Random, n: int) -> Word:
+def _random_reduced_word(rng, n: int) -> Word:
     """A reduced word of random length 4..9: after a random first letter,
     each letter is a random ascent i (x(i) < x(i+1)) of the element x
     spelled so far."""
@@ -417,6 +416,8 @@ def _random_reduced_word(rng: random.Random, n: int) -> Word:
 
 def exchange_spot_checks(n: int, samples: int, seed: int) -> tuple[int, list[str]]:
     """Randomized deletion/insertion round trips on reduced words."""
+    import random  # only the spot checks draw, so not at start-up
+
     rng = random.Random(seed)
     failures = []
     for _ in range(samples):

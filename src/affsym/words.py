@@ -5,29 +5,34 @@ right.  A word is reduced when its length equals the length of its
 evaluation.  Reducedness, strong exchange and unique insertion are all
 read off a word's reflection sequence.
 
-The lookups run on plain ints, as do the walks of `little`: `sweep`
-computes the sequence of a list of letters on one window list,
-`word_record` keeps it together with its reducedness and, per position,
-the key of its reflection, and the index lookups count and find a key
-in that list, so a reflection enters the kernel once, as its key
-(`reflection_key`); a cyclically decreasing factor is an n-bit mask
-whose canonical letters `cd_letters` tabulates.  The functions on Word
-and CyclicSubset validate, then call them.
+The lookups run on plain ints, as do the walks of `little`: one pass of
+`word_record` over a list of letters, on one window list, gives the
+sequence, its reducedness and, per position, the key of its reflection,
+and the index lookups count and find a key in that list, so a
+reflection enters the kernel once, as its key (`reflection_key`); a
+cyclically decreasing factor is an n-bit mask whose canonical letters
+`cd_letters` tabulates.  The functions on Word and CyclicSubset
+validate, then call them.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
 with letter set A are exactly the shuffles of the decreasing words of
 the maximal cyclic intervals of A, and all evaluate to one element w(A).
+
+The factor layer of `little` and `stanley` lives here too: the factor
+tuples (AlphaDecomposition), one factor table (_cd_masks) and one peel
+on the window of w^-1 (_peel, decomposition_masks).
 """
 
 import itertools
+from collections import namedtuple
 from functools import cache, lru_cache
-from typing import NamedTuple
 
 from .errors import (
     BadLetterError,
     FormatError,
     FullSetError,
+    InvalidDecompositionError,
     InvariantError,
     MarkDeletionNotReducedError,
     NotACoverError,
@@ -40,6 +45,7 @@ from .group import (
     canonical_reduced_word,
     cover_reflection,
     letters_window,
+    _length,
 )
 
 
@@ -150,14 +156,19 @@ def reflection_sequence(a: Word) -> tuple[tuple[int, int], ...]:
     >>> reflection_sequence(parse_word(3, "121"))
     ((2, 3), (1, 3), (1, 2))
     """
-    return tuple(sweep(a.n, a.letters))
+    return tuple(word_record(a.n, a.letters).sequence)
 
 
-def sweep(n: int, letters) -> list[tuple[int, int]]:
-    """reflection_sequence of plain letters: one right-to-left pass that
+WordRecord = namedtuple("WordRecord", ("sequence", "reduced", "keys"))
+
+
+def word_record(n: int, letters) -> WordRecord:
+    """What the lookups read off plain letters: the reflection sequence,
+    whether it is reduced, and per position the key of its reflection
+    (reflection_key), unique to the reflection.  One right-to-left pass
     keeps the window of y^-1 in a list and swaps it in place."""
     window = list(range(1, n + 1))
-    out = []
+    sequence, keys, reduced = [], [], True
     for i in reversed(letters):
         if i:
             p, q = window[i - 1], window[i]
@@ -165,32 +176,14 @@ def sweep(n: int, letters) -> list[tuple[int, int]]:
         else:
             p, q = window[-1] - n, window[0]
             window[0], window[-1] = p, q + n
-        out.append((p, q))
-    out.reverse()
-    return out
-
-
-class WordRecord(NamedTuple):
-    """What the lookups read off a word: its reflection sequence, whether
-    it is reduced, and per position the key (b - a) * n + a mod n of its
-    reflection t(p, q), a < b the sorted pair, unique to the reflection."""
-
-    sequence: list[tuple[int, int]]
-    reduced: bool
-    keys: list[int]
-
-
-def word_record(n: int, letters) -> WordRecord:
-    """The WordRecord of plain letters, from one sweep and one pass over
-    its sequence."""
-    sequence = sweep(n, letters)
-    keys, reduced = [], True
-    for p, q in sequence:
+        sequence.append((p, q))
         if p < q:
             keys.append((q - p) * n + p % n)
         else:
             keys.append((p - q) * n + q % n)
             reduced = False
+    sequence.reverse()
+    keys.reverse()
     return WordRecord(sequence, reduced, keys)
 
 
@@ -252,7 +245,7 @@ def insertion_index(a: Word, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Cyclically decreasing words and elements
+# Cyclically decreasing words, elements and factor tuples
 
 
 def is_cyclically_decreasing(a: Word) -> bool:
@@ -364,3 +357,88 @@ def cyclically_decreasing_elements(n: int) -> list[AffinePermutation]:
         for k in range(n)
         for members in itertools.combinations(range(n), k)
     ]
+
+
+class AlphaDecomposition(Value):
+    """A length-additive tuple of cyclically decreasing factors."""
+
+    __slots__ = ("n", "factors", "_product")
+
+    def __init__(self, n: int, factors: tuple[CyclicSubset, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
+        if any(factor.n != n for factor in factors):
+            raise InvalidDecompositionError("factors with mixed periods")
+        letters = [a for f in factors for a in cd_letters(n, subset_mask(f.members))]
+        window = letters_window(n, letters)
+        if _length(n, window) != len(letters):
+            raise InvalidDecompositionError(f"factor lengths do not add: {self}")
+        object.__setattr__(self, "_product", AffinePermutation(n, window))
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return tuple(len(f) for f in self.factors)
+
+    def product(self) -> AffinePermutation:
+        return self._product
+
+    def __str__(self) -> str:
+        return "/".join(str(f) for f in self.factors)
+
+
+@lru_cache(maxsize=None)
+def _cd_masks(n: int, size: int) -> tuple:
+    """(mask, canonical letters) of each proper subset of Z/nZ of that
+    size, in lexicographic order of members; () when size >= n."""
+    if size >= n:
+        return ()
+    masks = (subset_mask(members) for members in itertools.combinations(range(n), size))
+    return tuple((mask, cd_letters(n, mask)) for mask in masks)
+
+
+def _peel(n: int, u: tuple[int, ...], letters) -> tuple[int, ...] | None:
+    """u * s_{a_1} ... s_{a_k} if each letter is a right descent as it is
+    applied, else None.  For u = w^-1 and the letters of w(A) that is the
+    inverse of w(A)^-1 w exactly when l(w(A)^-1 w) = l(w) - |A|."""
+    u = list(u)
+    for a in letters:
+        if a:
+            if u[a - 1] < u[a]:
+                return None
+            u[a - 1], u[a] = u[a], u[a - 1]
+        else:
+            if u[-1] - n < u[0]:
+                return None
+            u[0], u[-1] = u[-1] - n, u[0] + n
+    return tuple(u)
+
+
+def decomposition_masks(w: AffinePermutation, profiles) -> dict[tuple[int, ...], list]:
+    """The alpha-decompositions of w as tuples of factor masks, for each
+    alpha in profiles ([] when there are none), each in the order of
+    alpha_decompositions; every alpha must be a composition of l(w).
+
+    Peels the factors off the left of w, letter by letter, on the window
+    of w^-1, in one pass over the trie of profiles: profiles with a
+    common prefix share its peels."""
+    n, out, trie = w.n, {alpha: [] for alpha in profiles}, {}
+    for alpha, found in out.items():
+        node = trie
+        for part in alpha:
+            node = node.setdefault(part, {})
+        node[0] = found  # parts are positive, so 0 keys the profile's list
+    identity_window = tuple(range(1, n + 1))
+
+    def descend(u, node, chosen):
+        for size, child in node.items():
+            if not size:
+                if u == identity_window:
+                    child.append(chosen)
+                continue
+            for mask, letters in _cd_masks(n, size):
+                tail = _peel(n, u, letters)
+                if tail is not None:
+                    descend(tail, child, chosen + (mask,))
+
+    descend(w.inverse().window, trie, ())
+    return out

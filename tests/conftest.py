@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import affsym.little
+import affsym.verify
+import affsym.words
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -29,3 +33,18 @@ def module_memos():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 found[f"{path.stem}.{value.__name__}"] = value
     return found
+
+
+@pytest.fixture
+def doubled_records(monkeypatch):
+    """word_record, in each module that holds it, with every record's
+    sequence and keys doubled and its reducedness kept: each reflection
+    occurs twice as often, so every uniqueness count fails."""
+    real = affsym.words.word_record
+
+    def doubled(n, letters):
+        record = real(n, letters)
+        return record._replace(sequence=record.sequence * 2, keys=record.keys * 2)
+
+    for module in (affsym.words, affsym.little, affsym.verify):
+        monkeypatch.setattr(module, "word_record", doubled)

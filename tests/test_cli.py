@@ -8,28 +8,31 @@ from pathlib import Path
 import pytest
 
 import affsym
+import affsym.cli
 import affsym.little
 import affsym.verify
-import affsym.words
 from affsym.cli import main
 from affsym.group import from_window
+from affsym.stanley import ExpansionResult
 
 FIGURE_LITTLE = ("little", "-n", "5", "-v", "3410321042", "-a", "34102321042", "-i", "5")
 SMALL_BIJECTION = ("verify", "-n", "3", "--max-length", "2", "bijection")
 
-# Doubles every reflection sequence the kernel sweeps, so the mark's
-# reflection occurs twice as often and the first uniqueness count the
-# command reaches fails: the unique insertion of the first re-mark for
-# `little`, the strong exchange at the factor walk's entry for `verify`.
+# Doubles the sequence and keys of every word record, reducedness kept,
+# in each module that holds word_record, so the mark's reflection occurs
+# twice as often and the first uniqueness count the command reaches
+# fails: the unique insertion of the first re-mark for `little`, the
+# strong exchange at the factor walk's entry for `verify`.
 DOUBLED_SEQUENCE = """
 import sys
-import affsym.little, affsym.words
+import affsym.little, affsym.verify, affsym.words
 from affsym.cli import main
-real = affsym.words.sweep
+real = affsym.words.word_record
 def doubled(n, letters):
-    return real(n, letters) * 2
-for module in (affsym.words, affsym.little):
-    module.sweep = doubled
+    record = real(n, letters)
+    return record._replace(sequence=record.sequence * 2, keys=record.keys * 2)
+for module in (affsym.words, affsym.little, affsym.verify):
+    module.word_record = doubled
 if __debug__:
     sys.exit("asserts are on: run with -O")
 sys.exit(main(sys.argv[1:]))
@@ -298,10 +301,7 @@ def test_little_not_marked_exits_3(capsys):
     assert code == 3 and err
 
 
-def test_little_uniqueness_failure_exits_1(capsys, monkeypatch):
-    real = affsym.words.sweep
-    for module in (affsym.words, affsym.little):
-        monkeypatch.setattr(module, "sweep", lambda n, letters: real(n, letters) * 2)
+def test_little_uniqueness_failure_exits_1(capsys, doubled_records):
     code, out, err = run_cli(capsys, *FIGURE_LITTLE)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: insertion uniqueness failed")
@@ -318,11 +318,8 @@ def test_little_uniqueness_failure_exits_1_under_optimize(child_env):
     assert proc.stderr.startswith("internal error: insertion uniqueness failed")
 
 
-def test_bijection_uniqueness_failure_exits_1(capsys, monkeypatch):
+def test_bijection_uniqueness_failure_exits_1(capsys, doubled_records):
     # the factor walk's first strong-exchange lookup sees t twice
-    real = affsym.words.sweep
-    for module in (affsym.words, affsym.little):
-        monkeypatch.setattr(module, "sweep", lambda n, letters: real(n, letters) * 2)
     code, out, err = run_cli(capsys, *SMALL_BIJECTION)
     assert (code, out) == (1, "")
     assert err.startswith("internal error: strong exchange uniqueness failed")
@@ -475,6 +472,16 @@ def test_expand_under_optimize(child_env):
         env=child_env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2,1,1: 1\n2,2: 1\n", "")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_expand_nonzero_residual_exits_1(capsys, monkeypatch, json_flag):
+    # an expansion that does not reproduce its table prints nothing
+    monkeypatch.setattr(
+        affsym.cli, "expand_in_affine_schur", lambda w: ExpansionResult({(2, 1, 1): 1}, False)
+    )
+    code, out, err = run_cli(capsys, "expand", "-n", "4", *json_flag, "[-1,4,1,6]")
+    assert (code, out, err) == (1, "", "expansion residual is nonzero\n")
 
 
 def test_verify_under_optimize_matches_plain_run(child_env):

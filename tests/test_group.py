@@ -194,6 +194,9 @@ def test_as_reflection_round_trip():
         assert as_reflection(t.element()) == t
     assert as_reflection(identity(4)) is None
     assert as_reflection(from_window(3, [2, 3, 1])) is None
+    # two moved window positions, but not an involution
+    assert as_reflection(from_window(2, [-1, 4])) is None
+    assert as_reflection(from_window(4, [-3, 2, 3, 8])) is None
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from affsym.group import (
     right_r_covers,
 )
 from affsym.little import (
-    AlphaDecomposition,
     MarkedSubset,
     MarkedWord,
     PQPair,
@@ -52,6 +51,7 @@ from affsym.little import (
 )
 from affsym.stanley import alpha_decompositions, compositions_bounded
 from affsym.words import (
+    AlphaDecomposition,
     CyclicSubset,
     Word,
     canonical_cd_word,
@@ -753,7 +753,7 @@ def test_phi_requires_reduced_word():
 
 
 # ---------------------------------------------------------------------------
-# one sweep per word per call
+# one record per word per call
 
 
 def _word_level_calls(n, max_length):
@@ -791,18 +791,19 @@ def _word_level_calls(n, max_length):
 
 @pytest.mark.parametrize("n,max_length", [(3, 3), (4, 2)])
 def test_each_call_sweeps_each_word_once(n, max_length, monkeypatch):
-    # every sweep, through word_record or not, is counted per call; where
-    # a call reads a word twice, a record cache answers the second read
+    # every word_record call, the one pass over a word, is counted per
+    # call; where a call reads a word twice, a record cache answers the
+    # second read
     calls = list(_word_level_calls(n, max_length))
     swept = collections.Counter()
-    real = little_module.sweep
+    real = little_module.word_record
 
     def counting(n, letters):
         swept[tuple(letters)] += 1
         return real(n, letters)
 
-    monkeypatch.setattr(affsym.words, "sweep", counting)
-    monkeypatch.setattr(little_module, "sweep", counting)
+    monkeypatch.setattr(affsym.words, "word_record", counting)
+    monkeypatch.setattr(little_module, "word_record", counting)
     twice = collections.Counter()
     for name, call in calls:
         swept.clear()

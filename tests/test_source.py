@@ -5,10 +5,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "affsym").glob("*.py"))
-LINTED = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", LINTED, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_assert_in_source(path):
     # checks must be typed errors: python -O strips assert statements
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -17,7 +16,7 @@ def test_no_assert_in_source(path):
 
 
 @pytest.mark.parametrize(
-    "path", [path for path in LINTED if path.name != "__init__.py"], ids=lambda path: path.name
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
 )
 def test_no_unused_imports_in_source(path):
     # every imported name is read somewhere, as a name or the base of an
@@ -56,10 +55,12 @@ def test_every_top_level_definition_is_referenced():
 
 
 # modules that no affsym module imports at start-up: the sweep's workers
-# are forked, only an error path pickles or kills, and only a sweep
-# maps shared memory
+# are forked, only an error path pickles or kills, only a sweep maps
+# shared memory, only the exchange spot checks draw at random, and the
+# word record is a collections.namedtuple, so no command loads typing
 DEFERRED_IMPORTS = {
-    "pickle", "multiprocessing", "concurrent", "subprocess", "threading", "signal", "mmap"
+    "pickle", "multiprocessing", "concurrent", "subprocess", "threading", "signal", "mmap",
+    "typing", "random",
 }
 
 
@@ -80,6 +81,32 @@ def test_no_process_or_pickle_import_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     early = {name.split(".")[0] for name in _module_level_imports(tree.body)} & DEFERRED_IMPORTS
     assert early == set(), f"{path.name} imports {early} at start-up"
+
+
+# the order in which the package's modules may import each other: each
+# imports only from earlier ranks, and little and stanley share a rank,
+# so the factorization counts share no code with the bijection machinery
+RANK = {"errors": 0, "group": 1, "words": 2, "little": 3, "stanley": 3, "verify": 4, "cli": 5}
+
+
+def _package_imports(path):
+    # the affsym modules a module imports at module level, as `from .x import`
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    return {node.module for node in imports if node.level == 1}
+
+
+def test_modules_import_only_earlier_layers():
+    edges = {path.stem: _package_imports(path) for path in SOURCES if path.stem in RANK}
+    assert set(edges) == set(RANK)
+    assert edges["stanley"] == {"errors", "group", "words"}
+    later = {
+        (module, imported)
+        for module, imports in edges.items()
+        for imported in imports
+        if RANK[imported] >= RANK[module]
+    }
+    assert later == set()
 
 
 # where a process may end: the command's own exit and the sweep's forked
@@ -167,7 +194,7 @@ N_BOUNDED_MEMOS = {
     "words.cd_letters",
     "little._move",
     "little._layout",
-    "stanley._cd_masks",
+    "words._cd_masks",
     "stanley._partitions",
     "stanley._commutation_certificate",
 }

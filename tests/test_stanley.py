@@ -44,7 +44,6 @@ from affsym.stanley import (
     classical_element,
     coefficient,
     compositions_bounded,
-    decomposition_masks,
     expand_in_affine_schur,
     ls_children,
     multiply_by_s1,
@@ -54,9 +53,12 @@ from affsym.stanley import (
 from affsym.verify import chevalley_sweep, garsia_little_sweep
 from affsym.words import (
     CyclicSubset,
+    _cd_masks,
+    _peel,
     _reduced_words,
     cd_element,
     cd_subset,
+    decomposition_masks,
     evaluate,
     parse_word,
 )
@@ -163,8 +165,8 @@ def _masks_per_profile(w, alpha):
             if u == identity_window:
                 out.append(chosen)
             return
-        for mask, letters in stanley_module._cd_masks(n, remaining[0]):
-            tail = stanley_module._peel(n, u, letters)
+        for mask, letters in _cd_masks(n, remaining[0]):
+            tail = _peel(n, u, letters)
             if tail is not None:
                 descend(tail, remaining[1:], chosen + (mask,))
 

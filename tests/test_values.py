@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from affsym.group import AffinePermutation, Reflection, from_window, identity
-from affsym.little import AlphaDecomposition, MarkedSubset, MarkedWord, PQPair
+from affsym.little import MarkedSubset, MarkedWord, PQPair
 from affsym.stanley import (
     ChevalleyReport,
     CoefficientTable,
@@ -23,7 +23,7 @@ from affsym.stanley import (
     check_garsia_little,
     expand_in_affine_schur,
 )
-from affsym.words import CyclicSubset, Word
+from affsym.words import AlphaDecomposition, CyclicSubset, Word
 
 WORD = Word(3, (1, 0, 1))
 SUBSET = CyclicSubset(3, (0, 2))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import affsym.words
 from affsym.errors import (
     BadLetterError,
     FormatError,
@@ -52,7 +51,6 @@ from affsym.words import (
     reflection_key,
     reflection_sequence,
     subset_mask,
-    sweep,
     word_record,
 )
 
@@ -212,7 +210,6 @@ def test_parse_word_messages_at_large_period():
 def test_sweep_matches_object_sequence(pair):
     n, letters = pair
     expected = object_reflection_sequence(Word(n, tuple(letters)))
-    assert sweep(n, letters) == expected
     sequence, reduced, _ = record = word_record(n, letters)
     assert sequence == expected
     assert reduced == reduced_by_length(Word(n, tuple(letters)))
@@ -250,11 +247,11 @@ def test_record_keys_match_positions_oracle(pair):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_word_record_matches_two_pass_oracle(n):
-    # the keys comprehension and the second reducedness pass word_record
-    # once made, kept here as the oracle for its single loop
+    # the record in two passes, keys and reducedness read off the
+    # object-level sequence: the oracle for word_record's single loop
     for length in range(6):
         for letters in itertools.product(range(n), repeat=length):
-            sequence = sweep(n, letters)
+            sequence = object_reflection_sequence(Word(n, letters))
             keys = [(q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence]
             assert word_record(n, letters) == (sequence, all(p < q for p, q in sequence), keys)
 
@@ -337,10 +334,7 @@ def test_insertion_index_examples():
     assert insertion_index(parse_word(2, "00"), 1) == 2
 
 
-def test_uniqueness_counts_raise_typed_errors(monkeypatch):
-    # doubling the sequence makes every reflection occur twice as often
-    real = affsym.words.sweep
-    monkeypatch.setattr(affsym.words, "sweep", lambda n, letters: real(n, letters) * 2)
+def test_uniqueness_counts_raise_typed_errors(doubled_records):
     v = evaluate(parse_word(5, "3410321042"))
     with pytest.raises(InvariantError, match="strong exchange uniqueness"):
         marked_index(parse_word(5, "34102321042"), v)
