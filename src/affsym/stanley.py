@@ -64,12 +64,12 @@ from .words import (
 
 def compositions_bounded(total: int, max_part: int):
     """All compositions of total with parts in [1, max_part], lex order."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, min(total, max_part) + 1):
-        for rest in compositions_bounded(total - first, max_part):
-            yield (first,) + rest
+    stack = [((), total)]
+    while stack:  # extensions are pushed largest part first, so popped in lex order
+        head, left = stack.pop()
+        if not left:
+            yield head
+        stack.extend((head + (part,), left - part) for part in range(min(left, max_part), 0, -1))
 
 
 def partitions_bounded(total: int, max_part: int) -> list[Partition]:
@@ -80,15 +80,16 @@ def partitions_bounded(total: int, max_part: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def _partitions(total: int, max_part: int) -> tuple[Partition, ...]:
-    def gen(remaining, bound):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, bound), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(sorted(gen(total, max_part)))
+    # one pass over the part sizes, largest first: a state is the parts
+    # taken so far and what they leave, and part 1 takes the rest
+    states = [((), total)]
+    for size in range(min(total, max_part), 0, -1):
+        states = [
+            (head + (size,) * k, left - size * k)
+            for head, left in states
+            for k in range(left if size == 1 else 0, left // size + 1)
+        ]
+    return tuple(sorted(head for head, left in states if not left))
 
 
 def _composition_of_length(w: AffinePermutation, alpha) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ on the window of w^-1 (_peel, decomposition_masks).
 
 import itertools
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .errors import (
     BadLetterError,
@@ -117,30 +117,28 @@ def is_reduced(a: Word) -> bool:
     return word_record(a.n, a.letters).reduced
 
 
-def _reduced_words():
-    """A fresh memo of sorted reduced words, as letter tuples, by element:
-    one per public call, which calls it, so nothing outlives the call."""
-
-    @cache
-    def words(w: AffinePermutation) -> tuple[tuple[int, ...], ...]:
-        if w.is_identity():
-            return ((),)
-        out = []
-        for i in w.right_descents():
-            for prefix in words(w.times_simple(i)):
-                out.append(prefix + (i,))
-        return tuple(sorted(out))
-
-    return words
+def _reduced_words(w: AffinePermutation) -> tuple[tuple[int, ...], ...]:
+    """The reduced words of w as sorted letter tuples: one pass down the
+    right weak order, each layer mapping an element x to the suffixes b
+    with x * b = w, until the identity holds them all."""
+    layer = {w: [()]}
+    for _ in range(w.length()):
+        below = {}
+        for x, suffixes in layer.items():
+            for i in x.right_descents():
+                below.setdefault(x.times_simple(i), []).extend((i,) + b for b in suffixes)
+        layer = below
+    [words] = layer.values()
+    return tuple(sorted(words))
 
 
 def reduced_words(w: AffinePermutation) -> list[Word]:
     """All reduced words of w, lexicographically sorted."""
-    return [Word(w.n, letters) for letters in _reduced_words()(w)]
+    return [Word(w.n, letters) for letters in _reduced_words(w)]
 
 
 def count_reduced_words(w: AffinePermutation) -> int:
-    return len(_reduced_words()(w))
+    return len(_reduced_words(w))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +398,9 @@ def _peel(n: int, u: tuple[int, ...], letters) -> tuple[int, ...] | None:
     """u * s_{a_1} ... s_{a_k} if each letter is a right descent as it is
     applied, else None.  For u = w^-1 and the letters of w(A) that is the
     inverse of w(A)^-1 w exactly when l(w(A)^-1 w) = l(w) - |A|."""
+    a = letters[0]
+    if (u[a - 1] < u[a]) if a else (u[-1] - n < u[0]):
+        return None  # most candidates fail here, before the copy
     u = list(u)
     for a in letters:
         if a:
@@ -427,18 +428,15 @@ def decomposition_masks(w: AffinePermutation, profiles) -> dict[tuple[int, ...],
         for part in alpha:
             node = node.setdefault(part, {})
         node[0] = found  # parts are positive, so 0 keys the profile's list
-    identity_window = tuple(range(1, n + 1))
-
-    def descend(u, node, chosen):
-        for size, child in node.items():
-            if not size:
-                if u == identity_window:
-                    child.append(chosen)
-                continue
-            for mask, letters in _cd_masks(n, size):
-                tail = _peel(n, u, letters)
-                if tail is not None:
-                    descend(tail, child, chosen + (mask,))
-
-    descend(w.inverse().window, trie, ())
+    identity_window, stack = tuple(range(1, n + 1)), [(w.inverse().window, trie, ())]
+    while stack:  # preorder: each node's children are pushed last first
+        u, node, chosen = stack.pop()
+        for size, child in reversed(node.items()):
+            if size:
+                for mask, letters in reversed(_cd_masks(n, size)):
+                    tail = _peel(n, u, letters)
+                    if tail is not None:
+                        stack.append((tail, child, chosen + (mask,)))
+            elif u == identity_window:
+                child.append(chosen)
     return out

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,13 +207,13 @@ def test_usage_error_exits_2_with_the_argparse_message(capsys, child_env):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", message.encode())
 
 
-@pytest.mark.parametrize("command", ["reduced-words", "stanley-table", "expand"])
+@pytest.mark.parametrize("command", ["stanley-table", "expand"])
 def test_input_past_the_recursion_limit_exits_3_without_a_traceback(command, child_env):
-    # [-499,502] has length 500 and one reduced word, and its table one
-    # entry, but the recursions over its letters and parts go deeper
-    # than the interpreter allows
+    # [-1199,1202] has length 1200 and a table of one entry, but the
+    # counter recurses once per part, deeper than Python 3.10 to 3.13
+    # allow by default
     proc = subprocess.run(
-        [sys.executable, "-m", "affsym", command, "-n", "2", "[-499,502]"],
+        [sys.executable, "-m", "affsym", command, "-n", "2", "[-1199,1202]"],
         capture_output=True,
         text=True,
         env=child_env,
@@ -224,16 +225,16 @@ def test_input_past_the_recursion_limit_exits_3_without_a_traceback(command, chi
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command, length", [("reduced-words", 494), ("stanley-table", 494), ("expand", 493)]
-)
-def test_input_at_the_recursion_limit_still_answers(command, length, child_env):
-    # README's n = 2 rows under "Exit status", from below: both elements
-    # of the longest length a command answers, each with one reduced word
-    # and a table of one entry, as cold processes
-    rows = re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (\d+) \| ", README.read_text(), re.M)
-    answers = {name.strip("`"): int(l) for names, l in rows for name in names.split(", ")}
-    assert answers[command] == length
+@pytest.mark.parametrize("command", ["stanley-table", "expand"])
+def test_input_at_the_recursion_limit_still_answers(command, child_env):
+    # README's row for this command and Python minor version under "Exit
+    # status", from below: both elements of the longest length it
+    # answers, each with a table of one entry, as cold processes
+    text = README.read_text()
+    versions = re.search(r"^\| answers up to length \| (.*) \|$", text, re.M).group(1).split(" | ")
+    row = re.search(rf"^\| `{command}` \| (.*) \|$", text, re.M).group(1).split(" | ")
+    minor = "{}.{}.".format(*sys.version_info)
+    [length] = [int(l) for version, l in zip(versions, row) if version.startswith(minor)]
     for window in ([1 - length, length + 2], [length + 1, 2 - length]):
         assert from_window(2, window).length() == length
         proc = subprocess.run(
@@ -244,11 +245,25 @@ def test_input_at_the_recursion_limit_still_answers(command, length, child_env):
             timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, ""), window
-        [line] = proc.stdout.splitlines()
-        if command == "reduced-words":
-            assert len(line) == length and "00" not in line and "11" not in line
-        else:
-            assert line == ",".join("1" * length) + ": 1"
+        assert proc.stdout == ",".join("1" * length) + ": 1\n"
+
+
+@pytest.mark.parametrize("n, window", [(2, "[-1999,2002]"), (3, "[1001,1003,-1998]")])
+def test_reduced_words_of_a_long_element_answer_within_a_second(n, window, child_env):
+    # (s_1 s_0)^1000 and (s_0 s_1 s_2)^667 have one reduced word each;
+    # reduced words are one pass down the weak order, with no recursion
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsym", "reduced-words", "-n", str(n), window],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [line] = proc.stdout.splitlines()
+    assert len(line) == from_window(n, json.loads(window)).length() and elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -232,3 +232,23 @@ def test_record_caches_only_where_a_word_is_read_twice():
         ("little", "phi_r"),
         ("verify", "_bijection_level"),
     ]
+
+
+def _self_callers(path):
+    # module.name of each function, nested or not, whose body calls it by
+    # its own name, bare or as a method of self
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = {function.name, f"self.{function.name}"}
+            calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+            if names & {ast.unparse(call.func) for call in calls}:
+                yield f"{path.stem}.{function.name}"
+
+
+def test_only_the_coefficient_counter_recurses():
+    # enumerations are loops, so how long an input can be does not hang
+    # on the interpreter's recursion limit; the counter keeps one frame
+    # per part, because its lru_cache recursion is what makes it fast
+    found = {name for path in SOURCES for name in _self_callers(path)}
+    assert found == {"stanley._coefficient"}

@@ -75,6 +75,22 @@ def test_compositions_and_partitions():
     assert partitions_bounded(0, 2) == [()]
 
 
+def test_enumerations_match_brute_force():
+    # a bound below 1 or a negative total leaves only the empty
+    # composition of 0, or nothing
+    for total in range(-1, 8):
+        for max_part in range(5):
+            brute = sorted(
+                c
+                for k in range(max(total, 0) + 1)
+                for c in itertools.product(range(1, max_part + 1), repeat=k)
+                if sum(c) == total
+            )
+            assert list(compositions_bounded(total, max_part)) == brute
+            partitions = {tuple(sorted(c, reverse=True)) for c in brute}
+            assert partitions_bounded(total, max_part) == sorted(partitions)
+
+
 def test_partitions_bounded_returns_a_fresh_list():
     first = partitions_bounded(4, 3)
     first.append((9,))
@@ -209,11 +225,10 @@ def test_decomposition_masks_of_an_unused_profile_are_empty():
 def test_all_ones_decompositions_are_the_reduced_words(n):
     # the bijection sweep reads each cover's reduced words off its
     # all-ones decompositions, in the order of reduced_words
-    reduced = _reduced_words()
     for l in range(6):
         ones = (1,) * l
         for w in elements_of_length(n, l):
-            words = [tuple(1 << a for a in letters) for letters in reduced(w)]
+            words = [tuple(1 << a for a in letters) for letters in _reduced_words(w)]
             assert decomposition_masks(w, [ones])[ones] == words
 
 

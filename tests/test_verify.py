@@ -798,9 +798,10 @@ def test_split_sweep_stops_its_workers_after_the_first_exception(processes, monk
 
 
 def test_sweep_leaves_the_callers_gc_freeze_as_it_is():
-    assert gc.get_freeze_count() == 0
+    # read, not assumed 0: a fresh Python 3.12.1 already reports 375
+    before = gc.get_freeze_count()
     sweep_ball(4, 4, ["bijection"])
-    assert gc.get_freeze_count() == 0
+    assert gc.get_freeze_count() == before
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()

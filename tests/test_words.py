@@ -460,7 +460,7 @@ def test_cd_element_window_matches_its_object_oracles(n):
 
 
 def test_reduced_words_leave_every_module_memo_as_it_was(module_memos):
-    # reduced words are memoized per call: nothing is left behind
+    # reduced words are one pass with no memo: nothing is left behind
     ball = bruhat_ball(4, 6)
     before = {name: memo.cache_info().currsize for name, memo in module_memos.items()}
     for level in ball:
