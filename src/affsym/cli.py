@@ -231,6 +231,9 @@ def main(argv=None) -> int:
         limit = f"sys.getrecursionlimit() = {sys.getrecursionlimit()}"
         print(f"error: input too large: deeper than {limit}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 3
     except ComputationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -33,12 +33,9 @@ many processes run.  `_processes(size)`, the one place that chooses P,
 gives two processes from _PARALLEL_BALL elements on a host with two
 CPUs or more (the break-even measured on 2 cores; more were never
 timed), else one, as without `os.fork`.  Tests patch it to pin P.
-`gc.freeze()` keeps the objects made before the sweep out of its garbage
-collections, unless the caller has frozen objects itself.
 """
 
 import functools
-import gc
 import marshal
 import os
 
@@ -238,7 +235,9 @@ _ALONE = {"positivity"}
 # 0.85x.  From 35 to 45 elements one series of each read no gain (35
 # (4, 3) 1.06x, 0.95x, 0.97x; 36 (7, 2) 0.94x, 1.01x, 0.91x; 45 (8, 2)
 # 0.97x, 0.91x), and from 19 to 31 elements each read 0.94x to 1.03x,
-# within the host's noise.
+# within the host's noise.  A re-check of 10 pairs on a host whose kernel
+# kept a forked worker on its parent's CPU for a few hundred ms read 1.12x
+# at 35, 1.08x at 46, 1.09x at 69 and 121, and 0.64x at 251 elements.
 _PARALLEL_BALL = 46
 
 
@@ -328,9 +327,7 @@ def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
     split over _processes(size) processes (see _share); their records
     merge in order, and the first exception met is raised, as one process
     would meet it.  Every worker is reaped before this returns, and killed
-    first if the parent stops early.  Unless objects are frozen already
-    (gc.get_freeze_count(); a fresh Python 3.12.1 has 375), those made
-    before the sweep are frozen out of its collections and unfrozen after."""
+    first if the parent stops early."""
     import mmap  # only a sweep maps shared memory, so not at start-up
 
     names = list(names)
@@ -338,20 +335,12 @@ def _sweep(n: int, levels, names) -> dict[str, tuple[int, list[str]]]:
     processes, workers, data, statuses = _processes(size), [], [], []
     first = memoryview(mmap.mmap(-1, 8)).cast("q")
     first[0] = size
-    # What exists now lives through the sweep: kept out of its garbage
-    # collections, it is not traversed again, nor copied into a worker
-    # by the collector's writes.
-    freeze = not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
     try:
         for k in range(1, processes):
             workers.append(_fork(n, levels, names, k, processes, first))
         records = _share(n, levels, names, 0, processes, first)
         data = [pipe.read() for _, pipe in workers]
     finally:
-        if freeze:
-            gc.unfreeze()
         for pid, pipe in workers:
             pipe.close()
             if len(data) < len(workers):

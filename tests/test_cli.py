@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -264,6 +265,26 @@ def test_reduced_words_of_a_long_element_answer_within_a_second(n, window, child
     assert (proc.returncode, proc.stderr) == (0, "")
     [line] = proc.stdout.splitlines()
     assert len(line) == from_window(n, json.loads(window)).length() and elapsed < 1.0
+
+
+def _one_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_input_past_the_memory_limit_exits_3_without_a_traceback(child_env):
+    # [10,19,-15,-4] has length 30 and more reduced words than 1 GiB
+    # holds; without the cap such a command grows until the host's
+    # memory runs out, so it is run only under one
+    proc = subprocess.run(
+        [sys.executable, "-m", "affsym", "reduced-words", "-n", "4", "[10,19,-15,-4]"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=120,
+        preexec_fn=_one_gib_of_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: input too large: out of memory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 
 import affsym.little as little_module
 import affsym.words
+from affsym.cli import main
 from affsym.errors import (
     CycleOverflowError,
     FormatError,
     InvalidDecompositionError,
+    InvariantError,
     MarkAbsentError,
     NotLeftRCoverError,
     NotReducedError,
@@ -689,6 +691,24 @@ def test_walks_past_their_cap_raise_cycle_overflow(monkeypatch):
     with pytest.raises(CycleOverflowError) as raised:
         generalized_little(v, 1, d)
     assert str(raised.value) == "generalized walk exceeded its cap"
+
+
+def test_factor_walk_checks_its_length_profile(monkeypatch, capsys):
+    # a walk that answers the (2, 1, 1, 1) masks of its image, an element
+    # of length 5, for a decomposition of profile (1, 1, 1, 1, 1)
+    def other_profile(n, starts, sizes, directions, table):
+        [(_, key)] = starts
+        return [[((9, 4, 2, 1), key)]]
+
+    monkeypatch.setattr(little_module, "walks", other_profile)
+    v, d = from_window(4, [5, 0, 2, 3]), parse_decomposition(4, "1/0/3/2/1")
+    with pytest.raises(InvariantError) as raised:
+        generalized_little(v, 1, d)
+    message = "length profile changed from 1/0/3/2/1 to 03/2/1/0"
+    assert type(raised.value) is InvariantError and str(raised.value) == message
+    argv = ["generalized-little", "-n", "4", "-v", "[5,0,2,3]", "-r", "1", "-d", "1/0/3/2/1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
 
 
 def test_alpha_decomposition_validates_additivity():

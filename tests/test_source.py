@@ -186,6 +186,24 @@ def test_only_main_writes_stdout_in_the_cli():
     assert _readers(functions, "stdout") == {"run"}
 
 
+def _imports(path):
+    # the top-level names of the modules a module imports, anywhere in it
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_reads_the_garbage_collector():
+    # the collector is the whole process's: a library call that froze,
+    # disabled or tuned it would leave its caller's process changed, and
+    # would run different lines wherever the interpreter starts with
+    # objects frozen (a fresh Python 3.12.1 reports 375)
+    readers = {path.name for path in SOURCES if "gc" in set(_imports(path))}
+    assert readers == set()
+
+
 # The memos that outlive a call are tables keyed by n and a size, mask,
 # letter, length profile or degree, never by an element, so a long-lived
 # process holds at most the tables of the n and degrees it has met.  Any

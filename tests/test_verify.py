@@ -2,6 +2,7 @@ import collections
 import errno
 import gc
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -797,18 +798,30 @@ def test_split_sweep_stops_its_workers_after_the_first_exception(processes, monk
     assert all(checked.count(pid) <= 2 for pid in checked)
 
 
-def test_sweep_leaves_the_callers_gc_freeze_as_it_is():
-    # read, not assumed 0: a fresh Python 3.12.1 already reports 375
-    before = gc.get_freeze_count()
-    sweep_ball(4, 4, ["bijection"])
-    assert gc.get_freeze_count() == before
-    gc.freeze()
+def test_sweep_leaves_the_callers_gc_freeze_as_it_is(monkeypatch):
+    # the collector is the whole process's, so a sweep leaves it as the
+    # caller set it: enabled or not, frozen or not (a fresh Python 3.12.1
+    # already reports a freeze count of 375), in one process and in two
+    enabled = gc.isenabled()
     try:
-        frozen = gc.get_freeze_count()
-        sweep_ball(4, 4, ["bijection"])
-        assert gc.get_freeze_count() == frozen
+        for collect, freeze, processes in itertools.product(
+            (gc.enable, gc.disable), (False, True), (1, 2)
+        ):
+            monkeypatch.setattr(affsym.verify, "_processes", lambda size: processes)
+            collect()
+            if freeze:
+                gc.freeze()
+            found = (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold())
+            sweep_ball(4, 4, ["bijection"])
+            assert (gc.isenabled(), gc.get_freeze_count(), gc.get_threshold()) == found
+            # a frozen object that is freed leaves the count: found would
+            # be frozen by the next case and freed when it is rebound
+            del found
+            if freeze:
+                gc.unfreeze()
     finally:
         gc.unfreeze()
+        (gc.enable if enabled else gc.disable)()
 
 
 # the sweep split over two processes after stdout holds unflushed text

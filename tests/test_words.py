@@ -342,6 +342,16 @@ def test_uniqueness_counts_raise_typed_errors(doubled_records):
         insertion_index(parse_word(5, "34101321042"), 5)
 
 
+def test_insertion_index_checks_its_partner(monkeypatch):
+    # a partner_index that answers a wrong position: deleting it and the
+    # mark give different elements, which no valid word reaches
+    monkeypatch.setattr("affsym.words.partner_index", lambda n, letters, record, i: 1)
+    with pytest.raises(InvariantError) as raised:
+        insertion_index(parse_word(5, "34101321042"), 5)
+    assert type(raised.value) is InvariantError
+    assert str(raised.value) == "deleting position 1 or 5 of 34101321042 gives different elements"
+
+
 def test_insertion_index_errors():
     with pytest.raises(WordIsReducedError):
         insertion_index(parse_word(3, "12"), 1)
