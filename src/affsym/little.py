@@ -25,12 +25,9 @@ letters and the offset of the moved letter) is memoized per (n, mask,
 letter, direction) in `_move`, at most 2·n·2^n entries for each n.  A
 walk is told its factors' sizes by its caller, and a step reads the
 word's `word_record` (sequence, reducedness, the key of each position's
-reflection) through a table its caller passes.  A call records each
-word it reads once, so a record cache, `functools.cache(word_record)`, is
-made only where a word is read twice: the bijection sweep's per-v table
-(a round trip ends on its start), `phi_r` (its start mark, then its
-walk) and `little_trace` (the pairs, read after the walk); every other
-walk reads `word_record` itself.  Public functions validate their input
+reflection), whose bounded memo answers a word read again: a round
+trip ends on its start, and `phi_r` and `little_trace` read records
+before or after their walk.  Public functions validate their input
 once, at entry.  `walks` is the one entry to the factor walk for callers
 that hold covers by construction: it walks each of a list of starts once
 per direction, each walk from where the last ended, so a round trip is
@@ -198,7 +195,6 @@ def _walk(
     word: list[int],
     position: int,
     forward: bool,
-    table,
     path=None,
     cap=None,
 ):
@@ -209,12 +205,11 @@ def _walk(
     the caller gives, never change.  A step slides the marked factor's
     run (down forward, up backward), rewrites its block and, unless the
     word is reduced, re-marks at the other position with the moved
-    letter's reflection.  table(n, letters) gives the word_record of
-    each word, so that a caller can share it between walks
-    (functools.cache(word_record)).  Returns the last moved position and
-    the final letters and record, or None after cap steps (by default
-    the number of states).  path receives each vertex as (letters,
-    mark): forward after the re-mark, backward before it.
+    letter's reflection, both read off the word's word_record.  Returns
+    the last moved position and the final letters and record, or None
+    after cap steps (by default the number of states).  path receives
+    each vertex as (letters, mark): forward after the re-mark, backward
+    before it.
     """
     starts, owner, states = _layout(n, sizes)
     direction = -1 if forward else 1
@@ -224,7 +219,7 @@ def _walk(
         start = starts[f]
         word[start : starts[f + 1]] = block
         letters = tuple(word)
-        record = table(n, letters)
+        record = word_record(n, letters)
         moved = start + offset + 1
         if record.reduced:
             if path is not None:
@@ -238,26 +233,26 @@ def _walk(
     return None
 
 
-def walks(n: int, starts, sizes, directions, table):
+def walks(n: int, starts, sizes, directions):
     """Walk the word of each start's factor masks, of the given sizes,
     once per direction (True forward), each walk from where the last
-    ended, reading records from table as _walk does.  A start is the
-    masks of a cover v * t and the record key of t (reflection_key);
-    each walk starts at the unique position of a key (strong exchange):
-    t's first, then the key t' at the last walk's final mark, so that
-    the walk's image evaluates to v * t'.  Returns, per start, each
-    walk's final masks and t' as a key.  Nothing else is checked: the
-    callers hold covers by construction."""
+    ended.  A start is the masks of a cover v * t and the record key of
+    t (reflection_key); each walk starts at the unique position of a key
+    (strong exchange): t's first, then the key t' at the last walk's
+    final mark, so that the walk's image evaluates to v * t'.  Returns,
+    per start, each walk's final masks and t' as a key.  A round trip
+    reads its start's record again from word_record's memo.  Nothing
+    else is checked: the callers hold covers by construction."""
     out = []
     for masks, key in starts:
         masks, word = list(masks), []
         for mask in masks:
             word += cd_letters(n, mask)
         letters = tuple(word)
-        record, ends = table(n, letters), []
+        record, ends = word_record(n, letters), []
         for forward in directions:
             position = reflection_index(n, letters, record, key)
-            end = _walk(n, sizes, masks, word, position, forward, table)
+            end = _walk(n, sizes, masks, word, position, forward)
             if end is None:
                 raise CycleOverflowError("generalized walk exceeded its cap")
             position, letters, record = end
@@ -271,13 +266,13 @@ def walks(n: int, starts, sizes, directions, table):
 # The affine Little graph
 
 
-def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, table, cap=None):
+def _letter_walk(v: AffinePermutation, m: MarkedWord, mark: int, forward: bool, cap=None):
     """_walk with every letter of m its own factor: sliding {i} steps i
     to i -+ 1, so this is the walk on marked words.  Returns its end and
     its path as marked words."""
     path, letters = [], list(m.word.letters)
     sizes = (1,) * len(letters)
-    end = _walk(v.n, sizes, [1 << a for a in letters], letters, mark, forward, table, path, cap)
+    end = _walk(v.n, sizes, [1 << a for a in letters], letters, mark, forward, path, cap)
     return end, [MarkedWord(Word(v.n, letters), k) for letters, k in path]
 
 
@@ -288,7 +283,7 @@ def forward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     to the unique other position whose deletion is a reduced word for v.
     """
     _require_v_marked(v, m)
-    return _letter_walk(v, m, m.mark, True, word_record, cap=1)[1][0]
+    return _letter_walk(v, m, m.mark, True, cap=1)[1][0]
 
 
 def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
@@ -297,37 +292,32 @@ def backward_step(v: AffinePermutation, m: MarkedWord) -> MarkedWord:
     n, letters = v.n, m.word.letters
     record = word_record(n, letters)
     k = m.mark if record.reduced else partner_index(n, letters, record, m.mark)
-    return _letter_walk(v, m, k, False, word_record, cap=1)[1][0]
+    return _letter_walk(v, m, k, False, cap=1)[1][0]
 
 
-def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str, table=None):
-    """Walk from the reduced v-marked m to the next reduced word, reading
-    m's reducedness and every step's record from table (by default
-    word_record, looked up at call time).
+def _marked_walk(v: AffinePermutation, m: MarkedWord, forward: bool, name: str):
+    """Walk from the reduced v-marked m to the next reduced word.
 
     A re-mark has the mark's reflection, so only m needs checking.
     """
     _require_v_marked(v, m)
-    table = table or word_record
-    if not table(m.word.n, m.word.letters).reduced:
+    if not word_record(m.word.n, m.word.letters).reduced:
         raise NotReducedError(f"{m} is not a reduced marked word")
-    end, path = _letter_walk(v, m, m.mark, forward, table)
+    end, path = _letter_walk(v, m, m.mark, forward)
     if end is None:
         raise CycleOverflowError(f"{name} cycle through {m} exceeded its cap")
     return path[-1], path
 
 
-def phi(v: AffinePermutation, m: MarkedWord, *, table=None) -> tuple[MarkedWord, list[MarkedWord]]:
+def phi(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
     """First reduced v-marked word after m on its cycle, plus the path.
 
     The path lists every vertex visited after m, non-reduced
     intermediates included, ending with the returned vertex.  Cycles of
     the graph are finite and never loops, which the iteration cap turns
-    into a runtime check.  table, a functools.cache(word_record) the
-    caller shares between walks over v, gives the record of m and of
-    every vertex; by default each is swept once, uncached.
+    into a runtime check.
     """
-    return _marked_walk(v, m, True, "phi", table)
+    return _marked_walk(v, m, True, "phi")
 
 
 def phi_inverse(v: AffinePermutation, m: MarkedWord) -> tuple[MarkedWord, list[MarkedWord]]:
@@ -351,21 +341,21 @@ def phi_r(v: AffinePermutation, r: int, a: Word) -> tuple[AffinePermutation, Wor
     element together with its reduced word; the element is a left
     r-cover of v.
     """
-    table = functools.cache(word_record)
-    record = table(a.n, a.letters)
+    record = word_record(a.n, a.letters)
     if not record.reduced:
         raise NotReducedError(f"word {a} is not reduced")
     key = _require_r_cover(v, r, evaluate(a), "right")
-    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, record, key)), table=table)
+    out, _ = phi(v, MarkedWord(a, reflection_index(a.n, a.letters, record, key)))
     return evaluate(out.word), out.word
 
 
 def little_trace(v: AffinePermutation, m: MarkedWord) -> list[tuple[MarkedWord, PQPair]]:
     """The phi trace rows, input first, each with its (p, q) pair, read
-    at the vertex's mark from the record that phi's walk built."""
-    n, table = v.n, functools.cache(word_record)
-    _, path = phi(v, m, table=table)
-    return [(x, PQPair(n, *table(n, x.word.letters).sequence[x.mark - 1])) for x in [m] + path]
+    at the vertex's mark from the record that phi's walk built.  A walk
+    of more vertices than word_record's maxsize sweeps its early ones
+    again here, with the same pairs."""
+    n, vertices = v.n, [m] + phi(v, m)[1]
+    return [(x, PQPair(n, *word_record(n, x.word.letters).sequence[x.mark - 1])) for x in vertices]
 
 
 def v_marked_words(v: AffinePermutation) -> list[MarkedWord]:
@@ -438,7 +428,7 @@ def parse_decomposition(n: int, text: str) -> AlphaDecomposition:
 def _generalized_walk(v, r, d: AlphaDecomposition, side: str) -> AlphaDecomposition:
     key = _require_r_cover(v, r, d.product(), side)
     start = ([subset_mask(f.members) for f in d.factors], key)
-    [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",), word_record)
+    [[(masks, _)]] = walks(d.n, [start], d.alpha, (side == "right",))
     out = AlphaDecomposition(d.n, tuple(CyclicSubset(d.n, mask_members(d.n, m)) for m in masks))
     if out.alpha != d.alpha:
         raise InvariantError(f"length profile changed from {d} to {out}")

@@ -15,14 +15,14 @@ ones are the reduced words of w, so the word-level bijection is the
 alpha = (1, ..., 1) case, where the forward walk is the public `phi`.
 Each profile walks its decompositions in one call of the kernel entry
 `walks`, there and back, or back from `phi`'s images, and one loop
-checks them all.  The walks over one v and the path invariants read each
-word's reflection record from one table, built on first use and dropped
-when v is done; the walks are told their factor sizes.
+checks them all.  The walks and the path invariants read each word's
+reflection record from the bounded memo of `word_record`, and the walks
+are told their factor sizes.
 
 The checks at one v depend on no other v, so `_sweep` splits the pass
 over P processes, forked once: process k (the caller is process 0)
 checks the v at positions k mod P of each level with its own stores and
-tables, and returns one record stream: (position, failures) per v that
+memos, and returns one record stream: (position, failures) per v that
 failed, then (position, exception) if a check raised there.  A worker
 sends its stream as `marshal` data over a pipe, the exception pickled;
 the caller sorts all records by position and raises the first exception
@@ -35,7 +35,6 @@ CPUs or more (the break-even measured on 2 cores; more were never
 timed), else one, as without `os.fork`.  Tests patch it to pin P.
 """
 
-import functools
 import marshal
 import os
 
@@ -82,7 +81,7 @@ def _at(v: AffinePermutation, r: int) -> str:
     return f"at v={format_window(v)} r={r}"
 
 
-def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table) -> list[str]:
+def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles) -> list[str]:
     """The cover-sum bijection at (v, r), one profile alpha at a time.
     plus and minus pair each cover's store entry (its decompositions as
     factor masks per profile) with the record key of its reflection,
@@ -93,8 +92,7 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
     elements, as distinct elements have disjoint sets of reduced words),
     and one call walks its images back.  One loop then checks
     every image's profile, its way back and the image set.  A profile
-    with no decompositions on either side has nothing to check.  Walks
-    read table."""
+    with no decompositions on either side has nothing to check."""
     n, ones = v.n, (1,) * (v.length() + 1)
     word_failures, failures = [], []
     for alpha in profiles:
@@ -103,14 +101,14 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
         if not starts and not expected:
             continue
         if alpha != ones:
-            ends = walks(n, starts, alpha, (True, False), table)
+            ends = walks(n, starts, alpha, (True, False))
         else:
             words, forward = {d for _, d in expected}, []
             for d, key in starts:
                 letters = tuple(mask.bit_length() - 1 for mask in d)
-                k = reflection_index(n, letters, table(n, letters), key)
+                k = reflection_index(n, letters, word_record(n, letters), key)
                 m = MarkedWord(Word(n, letters), k)
-                c, path = phi(v, m, table=table)
+                c, path = phi(v, m)
                 out = tuple(1 << a for a in c.word.letters)
                 if out not in words:
                     word_failures.append(
@@ -118,14 +116,14 @@ def _bijection_check(v: AffinePermutation, r: int, plus, minus, profiles, table)
                         f"the left covers of v={format_window(v)} r={r}"
                     )
                 # the (p, q) pair at each vertex's mark, as pq reads it
-                pairs = [table(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
+                pairs = [word_record(n, x.word.letters).sequence[x.mark - 1] for x in [m] + path]
                 for vertex, (p, _) in zip([m] + path[:-1], pairs):
                     if (p - r) % n != 0:
                         word_failures.append(f"path p-invariant fails at {vertex} {_over(v)}")
                 if (pairs[-1][1] - r) % n != 0:
                     word_failures.append(f"path q-invariant fails at {path[-1]} {_over(v)}")
-                forward.append((out, table(n, c.word.letters).keys[c.mark - 1]))
-            backs = walks(n, forward, alpha, (False,), table)
+                forward.append((out, word_record(n, c.word.letters).keys[c.mark - 1]))
+            backs = walks(n, forward, alpha, (False,))
             ends = [[image, *back] for image, back in zip(forward, backs)]
             outs = [out for out, _ in forward]
             out_set = set(outs)
@@ -173,8 +171,7 @@ def _bijection_level(n: int, length: int):
     key of its reflection t(a, b) and filed under the residues of a
     (right r-covers) and of b (left), so no check hashes an element.  A
     cover's alpha-decompositions, every profile at once, are found once
-    per level, in a store dropped with the level; each word's
-    word_record once per v, in a table dropped with v."""
+    per level, in a store dropped with the level."""
     store, profiles = {}, tuple(compositions_bounded(length + 1, n - 1))
 
     def check(v, covers):
@@ -186,9 +183,9 @@ def _bijection_level(n: int, length: int):
             key = reflection_key(n, t.a, t.b)
             plus[t.a % n].append((entry, key))
             minus[t.b % n].append((entry, key))
-        table, failures = functools.cache(word_record), []
+        failures = []
         for r in range(n):
-            failures += _bijection_check(v, r, plus[r], minus[r], profiles, table)
+            failures += _bijection_check(v, r, plus[r], minus[r], profiles)
         return failures
 
     return check

@@ -6,13 +6,15 @@ evaluation.  Reducedness, strong exchange and unique insertion are all
 read off a word's reflection sequence.
 
 The lookups run on plain ints, as do the walks of `little`: one pass of
-`word_record` over a list of letters, on one window list, gives the
+`word_record` over a tuple of letters, on one window list, gives the
 sequence, its reducedness and, per position, the key of its reflection,
-and the index lookups count and find a key in that list, so a
-reflection enters the kernel once, as its key (`reflection_key`); a
-cyclically decreasing factor is an n-bit mask whose canonical letters
-`cd_letters` tabulates.  The functions on Word and CyclicSubset
-validate, then call them.
+and the index lookups count and find a key in that tuple, so a
+reflection enters the kernel once, as its key (`reflection_key`).
+`word_record` is the one record memo, bounded, which every reader calls
+by name, so a record is a shared value of tuples.  A cyclically
+decreasing factor is an n-bit mask whose canonical letters `cd_letters`
+tabulates.  The functions on Word and CyclicSubset validate, then call
+them.
 
 A word is cyclically decreasing when its letters are distinct and,
 whenever i and i+1 (mod n) both occur, i+1 occurs first.  Such words
@@ -154,17 +156,19 @@ def reflection_sequence(a: Word) -> tuple[tuple[int, int], ...]:
     >>> reflection_sequence(parse_word(3, "121"))
     ((2, 3), (1, 3), (1, 2))
     """
-    return tuple(word_record(a.n, a.letters).sequence)
+    return word_record(a.n, a.letters).sequence
 
 
 WordRecord = namedtuple("WordRecord", ("sequence", "reduced", "keys"))
 
 
-def word_record(n: int, letters) -> WordRecord:
+@lru_cache(maxsize=1 << 10)
+def word_record(n: int, letters: tuple[int, ...]) -> WordRecord:
     """What the lookups read off plain letters: the reflection sequence,
     whether it is reduced, and per position the key of its reflection
     (reflection_key), unique to the reflection.  One right-to-left pass
-    keeps the window of y^-1 in a list and swaps it in place."""
+    keeps the window of y^-1 in a list and swaps it in place.  The memo
+    hands one record to every caller, so its fields are tuples."""
     window = list(range(1, n + 1))
     sequence, keys, reduced = [], [], True
     for i in reversed(letters):
@@ -180,9 +184,7 @@ def word_record(n: int, letters) -> WordRecord:
         else:
             keys.append((p - q) * n + q % n)
             reduced = False
-    sequence.reverse()
-    keys.reverse()
-    return WordRecord(sequence, reduced, keys)
+    return WordRecord(tuple(reversed(sequence)), reduced, tuple(reversed(keys)))
 
 
 def partner_index(n: int, letters, record: WordRecord, i: int) -> int:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import affsym.little as little_module
+import affsym.verify
 import affsym.words
 from affsym.cli import main
 from affsym.errors import (
@@ -198,32 +199,36 @@ def test_phi_is_a_bijection_on_reduced_marked_words(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_phi_on_a_shared_table_matches_fresh_tables(n):
-    # one table per v, filled by every walk over v, as the bijection sweep
-    # keeps it; little_trace's pairs match the validating pq
+def test_phi_on_a_warm_memo_matches_a_cold_one(n):
+    # each call once from a cleared word_record memo and once on the memo
+    # it left warm; little_trace's pairs match the validating pq
     for l in range(4):
         for v in elements_of_length(n, l):
-            shared = functools.cache(word_record)
             for m in v_marked_words(v):
                 if not is_reduced(m.word):
                     continue
+                word_record.cache_clear()
                 out, path = phi(v, m)
-                assert phi(v, m, table=shared) == (out, path)
-                assert little_trace(v, m) == [(x, pq(v, x)) for x in [m] + path]
+                assert phi(v, m) == (out, path)
+                word_record.cache_clear()
+                trace = little_trace(v, m)
+                assert little_trace(v, m) == trace == [(x, pq(v, x)) for x in [m] + path]
 
 
-def test_phi_with_a_table_raises_the_same_errors():
-    table = functools.cache(word_record)
+def test_phi_on_a_warm_memo_raises_the_same_errors():
     cases = [
         (identity(5), marked(5, "34102321042@5"), NotVMarkedError),
         (FIG_V, marked(5, "34101321042@11"), NotReducedError),
     ]
     for v, m, error in cases:
-        with pytest.raises(error) as fresh:
+        word_record.cache_clear()
+        with pytest.raises(error) as cold:
             phi(v, m)
-        with pytest.raises(error) as shared:
-            phi(v, m, table=table)
-        assert str(shared.value) == str(fresh.value)
+        word_record(m.word.n, m.word.letters)
+        with pytest.raises(error) as warm:
+            phi(v, m)
+        assert type(warm.value) is type(cold.value) is error
+        assert str(warm.value) == str(cold.value)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +545,8 @@ def _cover_starts(n, max_length):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walks_on_pairs_match_public_walks(n):
-    # entered on the record key of each cover's reflection, both ways,
-    # with one table of records shared by all walks over v
+    # entered on the record key of each cover's reflection, both ways
     for v, profiles in _cover_starts(n, 4):
-        table = functools.cache(word_record)
         for alpha, starts in profiles:
             for masks, t, d in starts:
                 for forward, public, r in (
@@ -552,7 +555,7 @@ def test_walks_on_pairs_match_public_walks(n):
                 ):
                     image = public(v, r, d)
                     [[(out, t_out)]] = little_module.walks(
-                        n, [(masks, reflection_key(n, t.a, t.b))], alpha, (forward,), table
+                        n, [(masks, reflection_key(n, t.a, t.b))], alpha, (forward,)
                     )
                     assert out == tuple(subset_mask(f.members) for f in image.factors)
                     expected = cover_reflection(v, image.product())
@@ -561,22 +564,22 @@ def test_walks_on_pairs_match_public_walks(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walks_batch_and_round_trip_match_single_walks(n):
-    # many starts in one call, sharing a table, equal one start per call
-    # on a fresh table; the backward half of (True, False) starts from the
-    # forward half's final word, masks and record, and (False,) starts
-    # afresh from the image's masks and key
+    # many starts in one call, on a warm word_record memo, equal one start
+    # per call from a cleared memo; the backward half of (True, False)
+    # starts from the forward half's final word, masks and record, and
+    # (False,) starts afresh from the image's masks and key
     for _, profiles in _cover_starts(n, 4):
-        shared = functools.cache(word_record)
         for alpha, starts in profiles:
             keyed = [(masks, reflection_key(n, t.a, t.b)) for masks, t, _ in starts]
-            trips = little_module.walks(n, keyed, alpha, (True, False), shared)
+            trips = little_module.walks(n, keyed, alpha, (True, False))
             assert len(trips) == len(keyed)
             for (masks, key), trip in zip(keyed, trips):
-                fresh = functools.cache(word_record)
-                [forward] = little_module.walks(n, [(masks, key)], alpha, (True,), fresh)
-                [back] = little_module.walks(n, forward, alpha, (False,), fresh)
+                word_record.cache_clear()
+                [forward] = little_module.walks(n, [(masks, key)], alpha, (True,))
+                [back] = little_module.walks(n, forward, alpha, (False,))
                 assert trip == forward + back
-                [alone] = little_module.walks(n, [(masks, key)], alpha, (True, False), fresh)
+                word_record.cache_clear()
+                [alone] = little_module.walks(n, [(masks, key)], alpha, (True, False))
                 assert trip == alone
                 assert back[0][0] == masks
 
@@ -588,16 +591,13 @@ def test_phi_is_the_forward_all_ones_walk(n):
     # normal pair at phi's final mark
     for l in range(4):
         for v in elements_of_length(n, l):
-            table = functools.cache(word_record)
             for w, t in covers_above(v):
                 for a in reduced_words(w):
-                    out, _ = phi(v, MarkedWord(a, marked_index(a, v)), table=table)
+                    out, _ = phi(v, MarkedWord(a, marked_index(a, v)))
                     start = (tuple(1 << i for i in a.letters), reflection_key(n, t.a, t.b))
-                    [[(masks, t_out)]] = little_module.walks(
-                        n, [start], (1,) * (l + 1), (True,), table
-                    )
+                    [[(masks, t_out)]] = little_module.walks(n, [start], (1,) * (l + 1), (True,))
                     assert masks == tuple(1 << i for i in out.word.letters)
-                    end = table(n, out.word.letters).sequence[out.mark - 1]
+                    end = word_record(n, out.word.letters).sequence[out.mark - 1]
                     assert t_out == reflection_key(n, *reflection_pair(n, *end))
 
 
@@ -696,7 +696,7 @@ def test_walks_past_their_cap_raise_cycle_overflow(monkeypatch):
 def test_factor_walk_checks_its_length_profile(monkeypatch, capsys):
     # a walk that answers the (2, 1, 1, 1) masks of its image, an element
     # of length 5, for a decomposition of profile (1, 1, 1, 1, 1)
-    def other_profile(n, starts, sizes, directions, table):
+    def other_profile(n, starts, sizes, directions):
         [(_, key)] = starts
         return [[((9, 4, 2, 1), key)]]
 
@@ -811,22 +811,23 @@ def _word_level_calls(n, max_length):
 
 @pytest.mark.parametrize("n,max_length", [(3, 3), (4, 2)])
 def test_each_call_sweeps_each_word_once(n, max_length, monkeypatch):
-    # every word_record call, the one pass over a word, is counted per
-    # call; where a call reads a word twice, a record cache answers the
-    # second read
+    # every pass over a word, a miss of the word_record memo, is counted
+    # per call, under a memo of the same size cleared before each call;
+    # where a call reads a word twice, the memo answers the second read
     calls = list(_word_level_calls(n, max_length))
     swept = collections.Counter()
-    real = little_module.word_record
 
-    def counting(n, letters):
-        swept[tuple(letters)] += 1
-        return real(n, letters)
+    def sweep(n, letters):
+        swept[letters] += 1
+        return word_record.__wrapped__(n, letters)
 
-    monkeypatch.setattr(affsym.words, "word_record", counting)
-    monkeypatch.setattr(little_module, "word_record", counting)
+    counting = functools.lru_cache(word_record.cache_parameters()["maxsize"])(sweep)
+    for module in (affsym.words, little_module, affsym.verify):
+        monkeypatch.setattr(module, "word_record", counting)
     twice = collections.Counter()
     for name, call in calls:
         swept.clear()
+        counting.cache_clear()
         call()
         if swept and max(swept.values()) > 1:
             twice[name] += 1

@@ -227,29 +227,38 @@ def test_module_memos_are_tables_keyed_by_n_or_have_a_maxsize(module_memos):
 
 
 def _record_caches(path):
-    # (module, top-level function) of each functools.cache(word_record)
+    # (module, top-level function) of each call that wraps word_record in
+    # a cache, functools.cache(word_record) or the like
     tree = ast.parse(path.read_text(), filename=str(path))
     for top in tree.body:
         for node in ast.walk(top):
             if (
                 isinstance(node, ast.Call)
-                and ast.unparse(node.func) in ("functools.cache", "cache")
+                and "cache" in ast.unparse(node.func)
                 and [ast.unparse(arg) for arg in node.args] == ["word_record"]
             ):
                 yield path.stem, getattr(top, "name", None)
 
 
-def test_record_caches_only_where_a_word_is_read_twice():
-    # a call sweeps each word it reads once, so a cache of word records
-    # is made only where a word is read twice: the sweep's per-v table
-    # (round trips end on their starts), phi_r (its start mark, then its
-    # walk) and little_trace (the pairs, read after the walk)
-    found = [site for path in SOURCES for site in _record_caches(path)]
-    assert sorted(found) == [
-        ("little", "little_trace"),
-        ("little", "phi_r"),
-        ("verify", "_bijection_level"),
-    ]
+def _table_takers(path):
+    # module.name of each function, nested or not, with a parameter table
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            arguments = function.args
+            parameters = arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+            if "table" in {parameter.arg for parameter in parameters}:
+                yield f"{path.stem}.{getattr(function, 'name', 'lambda')}"
+
+
+def test_records_come_only_from_the_word_record_memo():
+    # word_record's bounded memo is the one cache of word records: no
+    # module wraps it in a cache of its own, and no walk or check of
+    # little or verify is handed a table of records
+    assert [site for path in SOURCES for site in _record_caches(path)] == []
+    readers = [path for path in SOURCES if path.stem in ("little", "verify")]
+    assert len(readers) == 2
+    assert [name for path in readers for name in _table_takers(path)] == []
 
 
 def _self_callers(path):

@@ -19,6 +19,7 @@ import affsym.group
 import affsym.little
 import affsym.stanley
 import affsym.verify
+import affsym.words
 from affsym.cli import main
 from affsym.errors import ComputationError, InvariantError
 from affsym.group import bott_level_sizes, bruhat_ball, covers_above
@@ -93,10 +94,10 @@ def test_bijection_sweep_walks_each_reduced_word_forward_once(monkeypatch):
         calls["phi"] += 1
         return real_phi(v, m, **kwargs)
 
-    def counting_walks(n, starts, sizes, directions, table):
+    def counting_walks(n, starts, sizes, directions):
         calls[directions] += len(starts)
         calls["all-ones forward"] += len(starts) * (True in directions and set(sizes) == {1})
-        return real_walks(n, starts, sizes, directions, table)
+        return real_walks(n, starts, sizes, directions)
 
     monkeypatch.setattr(affsym.verify, "phi", counting_phi)
     monkeypatch.setattr(affsym.verify, "walks", counting_walks)
@@ -111,10 +112,10 @@ def test_passing_bijection_sweep_walks_only_profiles_with_decompositions(monkeyp
     calls = collections.Counter()
     real_walks, real_format = affsym.verify.walks, affsym.verify.format_window
 
-    def counting_walks(n, starts, sizes, directions, table):
+    def counting_walks(n, starts, sizes, directions):
         calls["walks"] += 1
         calls["empty"] += not starts
-        return real_walks(n, starts, sizes, directions, table)
+        return real_walks(n, starts, sizes, directions)
 
     def counting_format(w):
         calls["format_window"] += 1
@@ -139,10 +140,10 @@ def _perturbed_walks(monkeypatch, change):
     # each walk's final masks become change(forward, sizes, masks)
     real = affsym.verify.walks
 
-    def perturbed(n, starts, sizes, directions, table):
+    def perturbed(n, starts, sizes, directions):
         return [
             [(change(forward, sizes, out), t) for forward, (out, t) in zip(directions, ends)]
-            for ends in real(n, starts, sizes, directions, table)
+            for ends in real(n, starts, sizes, directions)
         ]
 
     monkeypatch.setattr(affsym.verify, "walks", perturbed)
@@ -161,8 +162,8 @@ def _round_trip_backward_fault(monkeypatch):
     # and only the round trips there walk back at them
     real = affsym.little._walk
 
-    def perturbed(n, sizes, masks, word, position, forward, table, path=None, cap=None):
-        end = real(n, sizes, masks, word, position, forward, table, path, cap)
+    def perturbed(n, sizes, masks, word, position, forward, path=None, cap=None):
+        end = real(n, sizes, masks, word, position, forward, path, cap)
         if not forward and set(sizes) != {1}:
             masks.append(masks.pop(0))
         return end
@@ -456,28 +457,30 @@ def test_one_pass_matches_one_suite_sweeps(n):
         assert sweep_ball(n, max_length, list(sweeps)) == expected
 
 
-def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
+def test_one_process_bijection_sweep_sweeps_896_words_from_a_cleared_memo(monkeypatch):
     monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
-    # the sweep asks for the covers of each v once, before its checks
-    elements, builds = [], collections.Counter()
-    real_covers, real_record = affsym.verify.covers_above, affsym.verify.word_record
+    # the sweep asks for the covers of each v once, before its checks,
+    # and reads every record through the one word_record memo: 896
+    # misses at (4, 4), against 1,708 sweeps with one table per v
+    elements, read = [], collections.defaultdict(set)
+    real_covers, memo = affsym.verify.covers_above, affsym.words.word_record
 
     def covers(v):
         elements.append(v)
         return real_covers(v)
 
-    def counting(n, letters):
-        builds[elements[-1], letters] += 1
-        return real_record(n, letters)
+    def reading(n, letters):
+        read[elements[-1]].add(letters)
+        return memo(n, letters)
 
     monkeypatch.setattr(affsym.verify, "covers_above", covers)
-    monkeypatch.setattr(affsym.verify, "word_record", counting)
-    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
-    assert elements == [v for level in bruhat_ball(4, 3) for v in level]
-    assert set(builds.values()) == {1}
-    read = collections.defaultdict(set)
-    for v, letters in builds:
-        read[v].add(letters)
+    for module in (affsym.words, affsym.little, affsym.verify):
+        monkeypatch.setattr(module, "word_record", reading)
+    memo.cache_clear()
+    assert bijection_sweep(4, 4) == (4 * sum(bott_level_sizes(4, 4)), [])
+    assert memo.cache_info().misses == 896
+    monkeypatch.undo()  # the checks below read records of their own
+    assert elements == [v for level in bruhat_ball(4, 4) for v in level]
     for v in elements:
         # every walk starts at a reduced word of a cover, and every word
         # it visits is v-marked
@@ -486,23 +489,6 @@ def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
             word = Word(4, letters)
             deletions = [word.delete(i) for i in range(1, len(word) + 1)]
             assert any(is_reduced(d) and evaluate(d) == v for d in deletions)
-    # a word read under two elements is built for each: the table is per v
-    assert len(builds) > len({letters for _, letters in builds})
-
-
-def test_bijection_sweep_walks_build_no_private_table(monkeypatch):
-    # phi and the factor walks read the sweep's per-v table; a record
-    # built through little's own word_record would be a per-call table
-    calls = []
-    real = affsym.little.word_record
-
-    def counting(n, letters):
-        calls.append(letters)
-        return real(n, letters)
-
-    monkeypatch.setattr(affsym.little, "word_record", counting)
-    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
-    assert calls == []
 
 
 def test_frontier_instance_counts_follow_bott():

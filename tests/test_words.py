@@ -60,9 +60,10 @@ def all_words(n, length):
         yield Word(n, letters)
 
 
+# letters as a tuple: word_record's memo keys a record by its letters
 reduced_word_inputs = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), max_size=9)
+        st.just(n), st.lists(st.integers(min_value=0, max_value=n - 1), max_size=9).map(tuple)
     )
 )
 
@@ -172,7 +173,7 @@ def object_reflection_sequence(a):
     for letter in reversed(a.letters):
         out.append((y_inv(letter), y_inv(letter + 1)))
         y_inv = y_inv.times_simple(letter)
-    return out[::-1]
+    return tuple(out[::-1])
 
 
 def positions_oracle(n, sequence, p, q):
@@ -209,10 +210,10 @@ def test_parse_word_messages_at_large_period():
 @given(reduced_word_inputs)
 def test_sweep_matches_object_sequence(pair):
     n, letters = pair
-    expected = object_reflection_sequence(Word(n, tuple(letters)))
+    expected = object_reflection_sequence(Word(n, letters))
     sequence, reduced, _ = record = word_record(n, letters)
     assert sequence == expected
-    assert reduced == reduced_by_length(Word(n, tuple(letters)))
+    assert reduced == reduced_by_length(Word(n, letters))
     text = format_letters(n, letters)
     for j, (p, q) in enumerate(expected, 1):
         t = Reflection(n, p, q)
@@ -252,14 +253,30 @@ def test_word_record_matches_two_pass_oracle(n):
     for length in range(6):
         for letters in itertools.product(range(n), repeat=length):
             sequence = object_reflection_sequence(Word(n, letters))
-            keys = [(q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence]
+            keys = tuple(
+                (q - p) * n + p % n if p < q else (p - q) * n + q % n for p, q in sequence
+            )
             assert word_record(n, letters) == (sequence, all(p < q for p, q in sequence), keys)
+
+
+def test_word_record_hands_every_caller_one_record():
+    # the memo shares one record between its callers, so the record's
+    # fields are tuples, and reflection_sequence hands out its sequence
+    # as it is
+    letters = (3, 4, 1, 0, 2, 3, 2, 1, 0, 4, 2)
+    word_record.cache_clear()
+    record = word_record(5, letters)
+    assert word_record(5, letters) is record
+    assert word_record.cache_info()[:2] == (1, 1)
+    assert type(record.sequence) is tuple and type(record.keys) is tuple
+    assert reflection_sequence(Word(5, letters)) is record.sequence
+    assert word_record.cache_parameters()["maxsize"] == 1 << 10
 
 
 @given(reduced_word_inputs)
 def test_is_reduced_agrees_with_length(pair):
     n, letters = pair
-    a = Word(n, tuple(letters))
+    a = Word(n, letters)
     assert is_reduced(a) == (evaluate(a).length() == len(a))
 
 
@@ -313,7 +330,7 @@ def test_marked_index_round_trip_random(pair, k):
         assert marked_index(a, evaluate(deletion)) == k
     check_against_oracles(a)
     # the raw letters, mostly not reduced, exercise insertion and pq
-    check_against_oracles(Word(n, tuple(letters)))
+    check_against_oracles(Word(n, letters))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
