@@ -491,6 +491,60 @@ def test_one_process_bijection_sweep_sweeps_896_words_from_a_cleared_memo(monkey
             assert any(is_reduced(d) and evaluate(d) == v for d in deletions)
 
 
+def test_bijection_sweep_sweeps_each_word_once_per_v(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
+    # the sweep asks for the covers of each v once, before its checks,
+    # and builds each word's record once: a word read under a second v
+    # is a hit of the one memo, not a second build
+    elements, builds, read = [], collections.Counter(), collections.defaultdict(set)
+    real_covers, memo = affsym.verify.covers_above, affsym.words.word_record
+
+    def covers(v):
+        elements.append(v)
+        return real_covers(v)
+
+    def counting(n, letters):
+        misses = memo.cache_info().misses
+        record = memo(n, letters)
+        read[elements[-1]].add(letters)
+        builds[elements[-1], letters] += memo.cache_info().misses - misses
+        return record
+
+    monkeypatch.setattr(affsym.verify, "covers_above", covers)
+    for module in (affsym.words, affsym.little, affsym.verify):
+        monkeypatch.setattr(module, "word_record", counting)
+    memo.cache_clear()
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    monkeypatch.undo()  # the checks below read records of their own
+    assert elements == [v for level in bruhat_ball(4, 3) for v in level]
+    builds = +builds
+    assert set(builds.values()) == {1}
+    assert len(builds) == len({letters for _, letters in builds})
+    assert {letters for _, letters in builds} == set().union(*read.values())
+    for v in elements:
+        assert {a.letters for w, _ in real_covers(v) for a in reduced_words(w)} <= read[v]
+        for letters in read[v]:
+            word = Word(4, letters)
+            deletions = [word.delete(i) for i in range(1, len(word) + 1)]
+            assert any(is_reduced(d) and evaluate(d) == v for d in deletions)
+
+
+def test_bijection_sweep_walks_build_no_private_table(monkeypatch):
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
+    # phi and the factor walks read the one word_record memo and keep no
+    # table of their own: a second sweep on a warm memo builds no record
+    memo = affsym.words.word_record
+    assert affsym.little.word_record is memo and affsym.verify.word_record is memo
+    memo.cache_clear()
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    first = memo.cache_info()
+    assert 0 < first.misses < first.maxsize
+    assert bijection_sweep(4, 3) == (4 * sum(bott_level_sizes(4, 3)), [])
+    second = memo.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
+
+
 def test_frontier_instance_counts_follow_bott():
     # each sweep suite checks n instances per element of length <= L
     for (n, max_length), count in FRONTIER.items():
