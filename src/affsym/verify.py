@@ -30,9 +30,12 @@ it meets, so the output, exit status and stderr are those of one
 process.  Every share stops at its next v beyond the stop position, the
 smallest at which one has raised, kept in one shared `mmap` however
 many processes run.  `_processes(size)`, the one place that chooses P,
-gives two processes from _PARALLEL_BALL elements on a host with two
-CPUs or more (the break-even measured on 2 cores; more were never
-timed), else one, as without `os.fork`.  Tests patch it to pin P.
+gives two processes for a pass of two elements or more on a host with
+two CPUs or more (more CPUs were never timed), else one, as without
+`os.fork`.  On 2 cores a fork, a pipe and a wait cost about 2 ms, so
+a split costs a few percent of a cold command at 4 to 10 elements, is
+even at about 20 and wins from 35 (README, "The sweep on two CPUs").
+Tests patch it to pin P.
 """
 
 import marshal
@@ -223,27 +226,13 @@ _LEVELS = {
 _ALONE = {"positivity"}
 
 
-# The smallest ball split across processes: the smallest ball size at
-# which two processes beat one in every timed series.  Cold `verify -n N
-# --max-length L bijection`, two processes against one, median ratio of
-# alternating pairs on a shared 2-core Xeon (Python 3.11.7), in three
-# series of 16, 30 and 40 pairs: 46 elements (3, 5) 0.87x, 0.93x, 0.91x;
-# 55 (9, 2) 0.88x, 0.95x; 56 (5, 3) 0.89x, 0.87x; 69 (4, 4) 0.77x, 0.83x,
-# 0.85x.  From 35 to 45 elements one series of each read no gain (35
-# (4, 3) 1.06x, 0.95x, 0.97x; 36 (7, 2) 0.94x, 1.01x, 0.91x; 45 (8, 2)
-# 0.97x, 0.91x), and from 19 to 31 elements each read 0.94x to 1.03x,
-# within the host's noise.  A re-check of 10 pairs on a host whose kernel
-# kept a forked worker on its parent's CPU for a few hundred ms read 1.12x
-# at 35, 1.08x at 46, 1.09x at 69 and 121, and 0.64x at 251 elements.
-_PARALLEL_BALL = 46
-
-
 def _processes(size: int) -> int:
     """How many processes check a pass over size elements: two, if os.fork
-    exists, size is at least _PARALLEL_BALL and this process may run on
-    two CPUs or more; else one.  Only two processes against one have
-    been timed, so more CPUs still give two."""
-    if not hasattr(os, "fork") or size < _PARALLEL_BALL:
+    exists, size is at least two (a second share of one element would
+    be empty) and this process may run on two CPUs or more; else one.
+    Only two processes against one have been timed, so more CPUs still
+    give two."""
+    if not hasattr(os, "fork") or size < 2:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

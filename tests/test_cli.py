@@ -605,7 +605,9 @@ def test_verify_json_deterministic(capsys):
 
 def test_verify_positivity_counts(capsys, monkeypatch):
     # one instance per element of the ball (1 + 3 + 6 + 9), whose
-    # expansions have 22 nonzero terms, all positive
+    # expansions have 22 nonzero terms, all positive; `terms` fills only
+    # in the process that calls, so the pass runs in one process
+    monkeypatch.setattr(affsym.verify, "_processes", lambda size: 1)
     real, terms = affsym.verify.expand_in_affine_schur, []
 
     def counted(w, **kw):
